@@ -74,5 +74,8 @@ EOF
   # WAL durability holds under kill -9: every acked mutation survives a
   # mid-storm SIGKILL and recovery is deterministic.
   python3 scripts/check_server_recovery.py
+  # The end-to-end serving benchmark (BENCHMARK.json) builds against src/
+  # and answers every request correctly.
+  python3 perfbench/run.py --smoke
 fi
 echo "ordlog: all checks passed"

@@ -1,9 +1,12 @@
 #ifndef ORDLOG_BASE_STRINGS_H_
 #define ORDLOG_BASE_STRINGS_H_
 
+#include <charconv>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <system_error>
 #include <vector>
 
 namespace ordlog {
@@ -65,6 +68,20 @@ std::string_view StripWhitespace(std::string_view text);
 
 // True when `text` begins with `prefix`.
 bool StartsWith(std::string_view text, std::string_view prefix);
+
+// Parses all of `text` as a T with std::from_chars (base-10 integers, or
+// decimal/scientific floating point). nullopt when `text` is empty, has
+// anything left over (trailing characters, whitespace, a '+', a '-' on an
+// unsigned T), or does not fit in T.
+template <typename T>
+std::optional<T> ParseNumber(std::string_view text) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const std::from_chars_result result =
+      std::from_chars(text.data(), end, value);
+  if (result.ec != std::errc() || result.ptr != end) return std::nullopt;
+  return value;
+}
 
 }  // namespace ordlog
 

@@ -1,7 +1,8 @@
 #include "lang/builder.h"
 
 #include <cctype>
-#include <cstdlib>
+#include <cstdint>
+#include <optional>
 
 #include "base/strings.h"
 
@@ -40,8 +41,12 @@ void ProgramBuilder::RecordError(Status status) {
 TermId ProgramBuilder::ParseArg(std::string_view token) {
   if (LooksLikeVariable(token)) return pool_->MakeVariable(token);
   if (LooksLikeInteger(token)) {
-    return pool_->MakeInteger(std::strtoll(std::string(token).c_str(),
-                                           nullptr, 10));
+    const std::optional<int64_t> value = ParseNumber<int64_t>(token);
+    if (!value.has_value()) {
+      RecordError(InvalidArgumentError(
+          StrCat("integer ", token, " is out of the 64-bit range")));
+    }
+    return pool_->MakeInteger(value.value_or(0));
   }
   if (token.empty()) {
     RecordError(InvalidArgumentError("empty argument token"));
@@ -170,8 +175,12 @@ ComponentBuilder& ComponentBuilder::Where(std::string_view lhs,
       return ArithExpr::Variable(owner_->pool_->symbols().Intern(token));
     }
     if (LooksLikeInteger(token)) {
-      return ArithExpr::Constant(
-          std::strtoll(std::string(token).c_str(), nullptr, 10));
+      const std::optional<int64_t> value = ParseNumber<int64_t>(token);
+      if (!value.has_value()) {
+        owner_->RecordError(InvalidArgumentError(
+            StrCat("integer ", token, " is out of the 64-bit range")));
+      }
+      return ArithExpr::Constant(value.value_or(0));
     }
     return ArithExpr::Term(owner_->pool_->MakeConstant(token));
   };

@@ -93,14 +93,6 @@ bool IsValidMetricName(std::string_view name) {
   return true;
 }
 
-void Counter::MirrorFloor(uint64_t floor) {
-  uint64_t current = value_.load(std::memory_order_relaxed);
-  while (current < floor &&
-         !value_.compare_exchange_weak(current, floor,
-                                       std::memory_order_relaxed)) {
-  }
-}
-
 uint64_t Histogram::TotalCount() const {
   uint64_t total = 0;
   for (const auto& count : counts_) {

@@ -25,8 +25,7 @@ namespace ordlog {
 bool IsValidMetricName(std::string_view name);
 
 // A monotonically increasing counter. Increment is one relaxed atomic add:
-// lock-free and safe from any thread, same discipline as the runtime's
-// LatencyHistogram buckets.
+// lock-free and safe from any thread.
 class Counter {
  public:
   // Adds `delta` (default 1).
@@ -36,11 +35,6 @@ class Counter {
 
   // Current value.
   uint64_t Value() const { return value_.load(std::memory_order_relaxed); }
-
-  // Raises the counter to at least `floor` (CAS loop; never decreases).
-  // For registry collectors that mirror an external authoritative counter
-  // (e.g. the ModelCache's own hit/miss tallies) into the exposition.
-  void MirrorFloor(uint64_t floor);
 
  private:
   std::atomic<uint64_t> value_{0};
@@ -246,8 +240,8 @@ class MetricsRegistry {
       std::vector<std::string> label_names = {});
 
   // Registers a callback run at the start of every render, letting owners
-  // of external authoritative counters mirror them into the registry
-  // (e.g. via Counter::MirrorFloor) right before exposition.
+  // of external state refresh instruments (e.g. set a gauge) right before
+  // exposition.
   void AddCollector(std::function<void()> collector);
 
   // Prometheus text exposition format (version 0.0.4): # HELP / # TYPE

@@ -9,6 +9,16 @@
 
 namespace ordlog {
 
+const char* QueryPhaseCodeName(QueryPhaseCode code) {
+  switch (code) {
+    case QueryPhaseCode::kSnapshot: return "snapshot";
+    case QueryPhaseCode::kResolve: return "resolve";
+    case QueryPhaseCode::kSolve: return "solve";
+    case QueryPhaseCode::kExplain: return "explain";
+  }
+  return "unknown";
+}
+
 std::string SlowQueryRecord::ToJson() const {
   std::ostringstream os;
   os << "{\"id\":" << id;

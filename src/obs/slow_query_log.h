@@ -2,6 +2,7 @@
 #define ORDLOG_OBS_SLOW_QUERY_LOG_H_
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <mutex>
 #include <string>
@@ -10,6 +11,23 @@
 #include "trace/event.h"
 
 namespace ordlog {
+
+// The stages of a QueryEngine query, in execution order. Indexes
+// SlowQueryRecord::phase_us and MetricsSnapshot::phase_us.
+enum class QueryPhaseCode : uint8_t {
+  kSnapshot = 0,  // acquire/refresh the immutable ground snapshot
+  kResolve,       // module + literal resolution (parsing)
+  kSolve,         // least-model or stable-model computation
+  kExplain,       // derivation-graph construction (when requested)
+};
+
+// Number of QueryPhaseCode values.
+inline constexpr size_t kNumQueryPhases = 4;
+
+// Canonical lowercase name of a query phase ("snapshot", "solve", ...):
+// the phase's span name, its ordlog_query_phase_us{phase} label, and its
+// key in the slow-query record.
+const char* QueryPhaseCodeName(QueryPhaseCode code);
 
 // Everything retained about one outlier query: the request shape, how it
 // finished, where the time went, and the query's own trace events (from
@@ -42,7 +60,7 @@ struct SlowQueryRecord {
   uint64_t latency_us = 0;
   // Per-phase wall time in microseconds (QueryPhaseCode order:
   // snapshot, resolve, solve, explain).
-  std::array<uint64_t, 4> phase_us{};
+  std::array<uint64_t, kNumQueryPhases> phase_us{};
   // The query's trace events, oldest first (ring-buffered: the newest
   // `events.size()` of `events_emitted` total).
   std::vector<TraceEvent> events;

@@ -121,7 +121,14 @@ void ScopedSpan::AddAttribute(std::string_view key, uint64_t value) {
 
 void ScopedSpan::End() {
   if (context_ != nullptr) {
-    context_->EndSpan(index_);
+    context_->EndSpan(index_, std::nullopt);
+    context_ = nullptr;
+  }
+}
+
+void ScopedSpan::End(uint64_t duration_us) {
+  if (context_ != nullptr) {
+    context_->EndSpan(index_, duration_us);
     context_ = nullptr;
   }
 }
@@ -133,12 +140,22 @@ SpanContext::SpanContext(uint64_t trace_id, bool recording, bool head_sampled)
       start_(Clock::now()) {}
 
 ScopedSpan SpanContext::StartSpan(std::string_view name) {
+  return StartSpan(name, Clock::now());
+}
+
+ScopedSpan SpanContext::StartSpan(std::string_view name,
+                                  Clock::time_point at) {
   if (!recording_) return ScopedSpan();
   Span span;
   span.span_id = ++next_span_id_;
   span.parent_id = open_.empty() ? 0 : spans_[open_.back()].span_id;
   span.name.assign(name);
-  span.start_us = ElapsedUs();
+  span.start_us =
+      at > start_ ? static_cast<uint64_t>(
+                        std::chrono::duration_cast<std::chrono::microseconds>(
+                            at - start_)
+                            .count())
+                  : 0;
   size_t index = spans_.size();
   spans_.push_back(std::move(span));
   open_.push_back(index);
@@ -165,7 +182,7 @@ uint64_t SpanContext::AttributeTotal(std::string_view key) const {
 TraceRecord SpanContext::Finish(std::string_view tenant,
                                 std::string_view endpoint,
                                 std::string_view detail) {
-  while (!open_.empty()) EndSpan(open_.back());
+  while (!open_.empty()) EndSpan(open_.back(), std::nullopt);
   TraceRecord record;
   record.trace_id = trace_id_;
   record.tenant.assign(tenant);
@@ -195,10 +212,13 @@ void SpanContext::AddAttributeAt(size_t index, std::string_view key,
   span.attributes.push_back(std::move(attr));
 }
 
-void SpanContext::EndSpan(size_t index) {
+void SpanContext::EndSpan(size_t index,
+                          std::optional<uint64_t> duration_us) {
   if (index >= spans_.size()) return;  // handle outlived Finish()
   Span& span = spans_[index];
-  if (span.duration_us == 0) {
+  if (duration_us.has_value()) {
+    span.duration_us = *duration_us;
+  } else {
     uint64_t now = ElapsedUs();
     span.duration_us = now > span.start_us ? now - span.start_us : 1;
   }
@@ -319,6 +339,47 @@ std::string TraceStore::ListJson(std::string_view tenant_filter) const {
   }
   out << "]}";
   return out.str();
+}
+
+SpanTracer::SpanTracer(const SpanOptions& options, MetricsRegistry& registry)
+    : traces_(&registry.GetCounterFamily(
+          "ordlog_span_traces_total",
+          "Span traces committed to the trace store, by commit reason: "
+          "reason=sampled for head-sampled requests, reason=slow for "
+          "always-sample-on-slow commits.",
+          {"reason"})),
+      spans_(&registry
+                  .GetCounterFamily("ordlog_span_spans_total",
+                                    "Spans inside committed traces (see "
+                                    "ordlog_span_traces_total).")
+                  .WithLabels()) {
+  if (!options.enabled) return;
+  sampler_ = std::make_unique<SpanSampler>(options.sample_probability);
+  store_ = std::make_unique<TraceStore>(
+      std::max<size_t>(1, options.store_capacity));
+  if (options.export_sink != nullptr) {
+    store_->SetExportSink(options.export_sink);
+  }
+}
+
+RootSpan::RootSpan(SpanTracer* tracer, bool record_unsampled)
+    : tracer_(tracer) {
+  if (tracer_ == nullptr || tracer_->sampler_ == nullptr) return;
+  const bool sampled = tracer_->sampler_->Sample();
+  if (sampled || record_unsampled) {
+    context_.emplace(tracer_->sampler_->NextTraceId(), /*recording=*/true,
+                     sampled);
+  }
+}
+
+void RootSpan::Commit(std::string_view tenant, std::string_view endpoint,
+                      std::string_view detail) {
+  if (!ShouldCommit()) return;
+  tracer_->traces_->WithLabels(context_->head_sampled() ? "sampled" : "slow")
+      .Increment();
+  TraceRecord record = context_->Finish(tenant, endpoint, detail);
+  tracer_->spans_->Increment(record.spans.size());
+  tracer_->store_->Add(std::move(record));
 }
 
 }  // namespace ordlog

@@ -4,12 +4,15 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <ostream>
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "obs/metrics.h"
 
 namespace ordlog {
 
@@ -121,6 +124,11 @@ class ScopedSpan {
   // Closes the span, fixing duration_us; idempotent.
   void End();
 
+  // Closes the span with a duration the caller measured, kept exactly
+  // (even 0), so a number reported elsewhere can match the span to the
+  // microsecond; idempotent.
+  void End(uint64_t duration_us);
+
   // True while the span is open (false for inert handles).
   bool active() const { return context_ != nullptr; }
 
@@ -144,6 +152,9 @@ class ScopedSpan {
 // two clock reads and one vector append per span.
 class SpanContext {
  public:
+  // The monotonic clock spans are timed with.
+  using Clock = std::chrono::steady_clock;
+
   // A context for trace `trace_id`. `recording` false turns every
   // StartSpan into an inert handle (the context only carries the id);
   // `head_sampled` records the head-sampling decision for the commit
@@ -156,6 +167,10 @@ class SpanContext {
   // Opens a span named `name` under the innermost open span (or as the
   // root). Inert when the context is not recording.
   ScopedSpan StartSpan(std::string_view name);
+
+  // Like StartSpan, but the span starts at `at` (a reading the caller took
+  // once and shares with other timers) instead of now.
+  ScopedSpan StartSpan(std::string_view name, Clock::time_point at);
 
   // The trace id (nonzero).
   uint64_t trace_id() const { return trace_id_; }
@@ -194,10 +209,11 @@ class SpanContext {
 
  private:
   friend class ScopedSpan;
-  using Clock = std::chrono::steady_clock;
 
   void AddAttributeAt(size_t index, std::string_view key, uint64_t value);
-  void EndSpan(size_t index);
+  // Closes span `index`: with `duration_us` when given, else by the clock
+  // (at least 1 µs).
+  void EndSpan(size_t index, std::optional<uint64_t> duration_us);
 
   const uint64_t trace_id_;
   const bool recording_;
@@ -340,6 +356,61 @@ struct SpanOptions {
   // JSON-lines span export for every committed trace (borrowed; null
   // disables export).
   SpanSink* export_sink = nullptr;
+};
+
+// The root-trace path every trace owner shares — the KB server per
+// request, a standalone QueryEngine per query: head-sample, start the
+// trace, commit it with reason `sampled` or `slow`, and count commits in
+// ordlog_span_traces_total / ordlog_span_spans_total. Thread-safe: the
+// sampler is lock-free and the store locks internally.
+class SpanTracer {
+ public:
+  // Registers the span counters in `registry` (always, so the exposition
+  // is the same with spans on or off). The sampler and the store exist
+  // only when `options.enabled`.
+  SpanTracer(const SpanOptions& options, MetricsRegistry& registry);
+
+  // The trace store backing /tracez; null when spans are disabled.
+  TraceStore* store() const { return store_.get(); }
+
+ private:
+  friend class RootSpan;
+
+  std::unique_ptr<SpanSampler> sampler_;
+  std::unique_ptr<TraceStore> store_;
+  CounterFamily* traces_;  // {reason}
+  Counter* spans_;
+};
+
+// One request's trace, from the head-sampling decision to the commit.
+// Lives on the stack of the thread serving the request (SpanContext's
+// threading contract).
+class RootSpan {
+ public:
+  // Head-samples through `tracer`; null or a disabled tracer leaves the
+  // trace inert. A sampled request records, and so does an unsampled one
+  // when `record_unsampled` — always-sample-on-slow needs the whole tree
+  // before it knows the request is slow.
+  RootSpan(SpanTracer* tracer, bool record_unsampled);
+
+  RootSpan(const RootSpan&) = delete;
+  RootSpan& operator=(const RootSpan&) = delete;
+
+  // The recording context, or null when this request records nothing.
+  SpanContext* context() { return context_ ? &*context_ : nullptr; }
+
+  // True when Commit will store the trace: it records and was
+  // head-sampled or marked slow.
+  bool ShouldCommit() const { return context_ && context_->ShouldCommit(); }
+
+  // When ShouldCommit(), closes any open spans and commits the trace,
+  // stamped with the given metadata; otherwise does nothing.
+  void Commit(std::string_view tenant, std::string_view endpoint,
+              std::string_view detail);
+
+ private:
+  SpanTracer* tracer_;
+  std::optional<SpanContext> context_;
 };
 
 }  // namespace ordlog

@@ -30,9 +30,8 @@
 #include "lang/printer.h"          // rendering
 #include "lang/program.h"          // components and ordered programs
 #include "parser/parser.h"         // .olp parsing
-#include "runtime/metrics.h"       // serving counters / latency snapshot
 #include "runtime/model_cache.h"   // generation-keyed model cache
-#include "runtime/query_engine.h"  // concurrent serving front-end
+#include "runtime/query_engine.h"  // concurrent serving front-end + metrics
 #include "runtime/thread_pool.h"   // worker pool
 #include "transform/classical.h"   // classical baselines
 #include "transform/negative_direct.h"  // Def. 11

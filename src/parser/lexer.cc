@@ -1,6 +1,8 @@
 #include "parser/lexer.h"
 
 #include <cctype>
+#include <cstdint>
+#include <optional>
 
 #include "base/strings.h"
 
@@ -112,13 +114,18 @@ StatusOr<std::vector<Token>> Tokenize(std::string_view source) {
     if (std::isdigit(static_cast<unsigned char>(c))) {
       Token token = make(TokenType::kInteger);
       size_t end = i;
-      int64_t value = 0;
       while (end < source.size() &&
              std::isdigit(static_cast<unsigned char>(source[end]))) {
-        value = value * 10 + (source[end] - '0');
         ++end;
       }
-      token.int_value = value;
+      const std::string_view digits = source.substr(i, end - i);
+      const std::optional<int64_t> value = ParseNumber<int64_t>(digits);
+      if (!value.has_value()) {
+        return InvalidArgumentError(StrCat("lex error at ", line, ":",
+                                           column, ": integer ", digits,
+                                           " exceeds ", INT64_MAX));
+      }
+      token.int_value = *value;
       advance(end - i);
       tokens.push_back(std::move(token));
       continue;

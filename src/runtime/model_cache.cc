@@ -5,6 +5,22 @@
 
 namespace ordlog {
 
+ModelCache::ModelCache(ModelCacheOptions options, MetricsRegistry& registry)
+    : options_(options),
+      evictions_(&registry
+                      .GetCounterFamily("ordlog_cache_evictions_total",
+                                        "Model-cache entries evicted (stale "
+                                        "revision or capacity).")
+                      .WithLabels()) {
+  CounterFamily& requests = registry.GetCounterFamily(
+      "ordlog_cache_requests_total",
+      "Model-cache lookups, by outcome (hit / miss / coalesced).",
+      {"outcome"});
+  hits_ = &requests.WithLabels("hit");
+  misses_ = &requests.WithLabels("miss");
+  coalesced_ = &requests.WithLabels("coalesced");
+}
+
 StatusOr<ModelCache::Lookup> ModelCache::GetOrCompute(
     const ModelCacheKey& key, const ComputeFn& compute,
     const CancelToken& cancel) {
@@ -36,7 +52,7 @@ StatusOr<ModelCache::Lookup> ModelCache::GetOrCompute(
     }
 
     if (owner) {
-      misses_.fetch_add(1, std::memory_order_relaxed);
+      misses_->Increment();
       StatusOr<ModelEntry> computed = compute();
       if (computed.ok()) {
         auto value =
@@ -78,7 +94,7 @@ StatusOr<ModelCache::Lookup> ModelCache::GetOrCompute(
     std::unique_lock<std::mutex> lock(slot->mutex);
     while (!slot->ready && !slot->failed) {
       if (!counted) {
-        coalesced_.fetch_add(1, std::memory_order_relaxed);
+        coalesced_->Increment();
         counted = true;
       }
       slot->done.wait_for(lock, std::chrono::milliseconds(5));
@@ -87,7 +103,7 @@ StatusOr<ModelCache::Lookup> ModelCache::GetOrCompute(
       }
     }
     if (slot->ready) {
-      if (!counted) hits_.fetch_add(1, std::memory_order_relaxed);
+      if (!counted) hits_->Increment();
       return Lookup{slot->value, /*hit=*/true};
     }
     // Owner failed; loop around and (possibly) become the new owner.
@@ -106,7 +122,7 @@ void ModelCache::EvictStaleLocked(uint64_t current_revision) {
       // publishes into the shared Slot (its waiters still get the value);
       // the table simply forgets the stale key.
       it = entries_.erase(it);
-      evictions_.fetch_add(1, std::memory_order_relaxed);
+      evictions_->Increment();
     } else {
       ++it;
     }
@@ -176,7 +192,7 @@ void ModelCache::EnforceCapacityLocked(size_t budget) {
     // carry waiters), so the bound is transiently exceeded.
     if (oldest == entries_.end()) return;
     entries_.erase(oldest);
-    evictions_.fetch_add(1, std::memory_order_relaxed);
+    evictions_->Increment();
   }
 }
 
@@ -187,10 +203,10 @@ size_t ModelCache::size() const {
 
 ModelCache::Stats ModelCache::stats() const {
   Stats stats;
-  stats.hits = hits_.load(std::memory_order_relaxed);
-  stats.misses = misses_.load(std::memory_order_relaxed);
-  stats.coalesced = coalesced_.load(std::memory_order_relaxed);
-  stats.evictions = evictions_.load(std::memory_order_relaxed);
+  stats.hits = hits_->Value();
+  stats.misses = misses_->Value();
+  stats.coalesced = coalesced_->Value();
+  stats.evictions = evictions_->Value();
   return stats;
 }
 

@@ -14,6 +14,7 @@
 #include "base/hash.h"
 #include "base/status.h"
 #include "core/interpretation.h"
+#include "obs/metrics.h"
 
 namespace ordlog {
 
@@ -83,7 +84,8 @@ class ModelCache {
   // Alias so callers can spell ModelCache::Options.
   using Options = ModelCacheOptions;
 
-  // Monotonic lookup counters, mirrored into RuntimeMetrics.
+  // Monotonic lookup counters (the values of the cache's registry
+  // instruments).
   struct Stats {
     uint64_t hits = 0;       // served from a completed entry
     uint64_t misses = 0;     // caller became the computing owner
@@ -102,8 +104,10 @@ class ModelCache {
   // Computes a missing entry; run by exactly one caller per key.
   using ComputeFn = std::function<StatusOr<ModelEntry>()>;
 
-  // An empty cache; `options` bounds the resident entry count.
-  explicit ModelCache(ModelCacheOptions options = {}) : options_(options) {}
+  // An empty cache; `options` bounds the resident entry count. Lookups
+  // and evictions are counted in `registry` (ordlog_cache_requests_total,
+  // ordlog_cache_evictions_total), which must outlive the cache.
+  ModelCache(ModelCacheOptions options, MetricsRegistry& registry);
 
   // Returns the cached entry for `key`, or runs `compute` (exactly once
   // across concurrent callers) and caches its result. `cancel` bounds the
@@ -165,10 +169,10 @@ class ModelCache {
   uint64_t next_seq_ = 0;
   std::unordered_map<ModelCacheKey, std::shared_ptr<Slot>, ModelCacheKeyHash>
       entries_;
-  std::atomic<uint64_t> hits_{0};
-  std::atomic<uint64_t> misses_{0};
-  std::atomic<uint64_t> coalesced_{0};
-  std::atomic<uint64_t> evictions_{0};
+  Counter* hits_;
+  Counter* misses_;
+  Counter* coalesced_;
+  Counter* evictions_;
 };
 
 }  // namespace ordlog

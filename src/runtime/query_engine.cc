@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <array>
+#include <iomanip>
+#include <sstream>
 #include <thread>
 #include <unordered_set>
 #include <utility>
@@ -15,6 +17,66 @@
 #include "trace/sink.h"
 
 namespace ordlog {
+
+namespace {
+
+// A query's phase clock. Phases are contiguous: each boundary reads the
+// clock once, and that one reading closes the open phase and opens the
+// next. Closing a phase feeds the same microseconds to its span (when the
+// query records spans), to ordlog_query_phase_us{phase}, and to the
+// per-query array the slow-query log serializes.
+class PhaseClock {
+ public:
+  using Clock = SpanContext::Clock;
+
+  // The first phase opens at `start`; `span` (may be null) receives one
+  // child span per phase.
+  PhaseClock(SpanContext* span,
+             const std::array<Counter*, kNumQueryPhases>& totals,
+             Clock::time_point start)
+      : span_(span), totals_(totals), boundary_(start) {}
+
+  // Closes the open phase (if any) and opens `phase` at that boundary.
+  void Enter(QueryPhaseCode phase) {
+    if (phase_.has_value()) Close();
+    phase_ = phase;
+    if (span_ != nullptr) {
+      scope_ = span_->StartSpan(QueryPhaseCodeName(phase), boundary_);
+    }
+  }
+
+  // Closes the open phase (if any) at a fresh boundary and returns the
+  // boundary.
+  Clock::time_point Close() {
+    const Clock::time_point now = Clock::now();
+    if (phase_.has_value()) {
+      const uint64_t us = static_cast<uint64_t>(
+          std::chrono::duration_cast<std::chrono::microseconds>(now -
+                                                                boundary_)
+              .count());
+      const size_t index = static_cast<size_t>(*phase_);
+      scope_.End(us);
+      totals_[index]->Increment(us);
+      us_[index] = us;
+      phase_.reset();
+    }
+    boundary_ = now;
+    return now;
+  }
+
+  // Microseconds per phase so far (zero for phases never entered).
+  const std::array<uint64_t, kNumQueryPhases>& us() const { return us_; }
+
+ private:
+  SpanContext* const span_;
+  const std::array<Counter*, kNumQueryPhases>& totals_;
+  Clock::time_point boundary_;
+  std::optional<QueryPhaseCode> phase_;
+  ScopedSpan scope_;
+  std::array<uint64_t, kNumQueryPhases> us_{};
+};
+
+}  // namespace
 
 const char* QueryModeName(QueryMode mode) {
   switch (mode) {
@@ -33,8 +95,46 @@ const char* QueryModeName(QueryMode mode) {
 QueryEngine::QueryEngine(KnowledgeBase& kb, QueryEngineOptions options)
     : kb_(kb),
       options_(options),
-      cache_(options.cache),
-      metrics_(&registry_) {
+      cache_(options.cache, registry_),
+      tracer_(options.spans, registry_) {
+  CounterFamily& queries = registry_.GetCounterFamily(
+      "ordlog_queries_total", "Queries finished, by final status.",
+      {"status"});
+  queries_served_ = &queries.WithLabels("served");
+  queries_failed_ = &queries.WithLabels("failed");
+  queries_cancelled_ = &queries.WithLabels("cancelled");
+  queries_deadline_exceeded_ = &queries.WithLabels("deadline_exceeded");
+  mutations_ = &registry_
+                    .GetCounterFamily(
+                        "ordlog_mutations_total",
+                        "KB mutations routed through the engine's "
+                        "writer path.")
+                    .WithLabels();
+  snapshots_built_ =
+      &registry_
+           .GetCounterFamily(
+               "ordlog_snapshots_total",
+               "Immutable ground-program snapshots built (reground + "
+               "copy events).")
+           .WithLabels();
+  solver_nodes_ = &registry_
+                       .GetCounterFamily(
+                           "ordlog_solver_nodes_total",
+                           "Cumulative stable-search nodes visited.")
+                       .WithLabels();
+  CounterFamily& phases = registry_.GetCounterFamily(
+      "ordlog_query_phase_us",
+      "Cumulative wall time per query phase, microseconds.", {"phase"});
+  for (size_t i = 0; i < phase_us_.size(); ++i) {
+    phase_us_[i] =
+        &phases.WithLabels(QueryPhaseCodeName(static_cast<QueryPhaseCode>(i)));
+  }
+  latency_ = &registry_
+                  .GetHistogramFamily(
+                      "ordlog_query_latency_us",
+                      "End-to-end query latency, microseconds "
+                      "(log2 buckets).")
+                  .WithLabels();
   rule_status_family_ = &registry_.GetCounterFamily(
       "ordlog_rule_status_total",
       "Definition 2 rule statuses, tallied over the view's rules after "
@@ -135,48 +235,14 @@ QueryEngine::QueryEngine(KnowledgeBase& kb, QueryEngineOptions options)
                            "ordlog_slow_queries_total",
                            "Queries recorded in the slow-query log.")
                        .WithLabels();
-  span_traces_family_ = &registry_.GetCounterFamily(
-      "ordlog_span_traces_total",
-      "Span traces committed to the trace store, by commit reason: "
-      "reason=sampled for head-sampled requests, reason=slow for "
-      "always-sample-on-slow commits.",
-      {"reason"});
-  span_spans_total_ =
-      &registry_
-           .GetCounterFamily(
-               "ordlog_span_spans_total",
-               "Spans inside committed traces (see ordlog_span_traces_total).")
-           .WithLabels();
-  if (options_.spans.enabled) {
-    span_sampler_ =
-        std::make_unique<SpanSampler>(options_.spans.sample_probability);
-    trace_store_ = std::make_unique<TraceStore>(
-        std::max<size_t>(1, options_.spans.store_capacity));
-    if (options_.spans.export_sink != nullptr) {
-      trace_store_->SetExportSink(options_.spans.export_sink);
-    }
-  }
-  // The cache and KB keep their own authoritative counters; mirror them
-  // into the exposition at render time (MirrorFloor never decreases, so
-  // scrapes between updates stay monotonic).
-  Counter* evictions =
-      &registry_
-           .GetCounterFamily(
-               "ordlog_cache_evictions_total",
-               "Model-cache entries evicted (stale revision or capacity).")
-           .WithLabels();
+  // The KB revision is read at render time.
   Gauge* kb_revision =
       &registry_
            .GetGaugeFamily(
                "ordlog_kb_revision",
                "Current KnowledgeBase revision (bumped by every mutation).")
            .WithLabels();
-  registry_.AddCollector([this, evictions, kb_revision] {
-    const ModelCache::Stats cache_stats = cache_.stats();
-    metrics_.cache_hits_counter().MirrorFloor(cache_stats.hits);
-    metrics_.cache_misses_counter().MirrorFloor(cache_stats.misses);
-    metrics_.cache_coalesced_counter().MirrorFloor(cache_stats.coalesced);
-    evictions->MirrorFloor(cache_stats.evictions);
+  registry_.AddCollector([this, kb_revision] {
     kb_revision->Set(static_cast<int64_t>(revision()));
   });
 
@@ -197,7 +263,7 @@ QueryEngine::QueryEngine(KnowledgeBase& kb, QueryEngineOptions options)
     statsz_options.port = options_.statsz_port;
     statsz_options.registry = &registry_;
     statsz_options.slow_log = slow_log_.get();
-    statsz_options.traces = trace_store_.get();
+    statsz_options.traces = tracer_.store();
     statsz_options.stats_text = [this] { return Metrics().ToString(); };
     statsz_ = std::make_unique<StatszServer>(std::move(statsz_options));
     statsz_status_ = statsz_->Start();
@@ -263,7 +329,7 @@ Status QueryEngine::Mutate(
     const std::function<Status(KnowledgeBase&)>& mutation) {
   std::unique_lock<std::shared_mutex> kb_lock(kb_mutex_);
   const Status status = mutation(kb_);
-  metrics_.RecordMutation();
+  mutations_->Increment();
   return status;
 }
 
@@ -272,7 +338,7 @@ StatusOr<MutationReport> QueryEngine::ApplyMutation(
   std::unique_lock<std::shared_mutex> kb_lock(kb_mutex_);
   const uint64_t old_revision = kb_.revision();
   StatusOr<MutationReport> report = kb_.Apply(mutation);
-  metrics_.RecordMutation();
+  mutations_->Increment();
   if (!report.ok()) return report;
 
   if (!report->incremental) {
@@ -350,13 +416,62 @@ uint64_t QueryEngine::revision() const {
 }
 
 MetricsSnapshot QueryEngine::Metrics() const {
-  MetricsSnapshot snapshot = metrics_.Snapshot();
-  // The cache keeps its own authoritative counters.
+  MetricsSnapshot snapshot;
+  snapshot.queries_served = queries_served_->Value();
+  snapshot.queries_failed = queries_failed_->Value();
+  snapshot.cancellations = queries_cancelled_->Value();
+  snapshot.deadline_exceeded = queries_deadline_exceeded_->Value();
   const ModelCache::Stats cache_stats = cache_.stats();
   snapshot.cache_hits = cache_stats.hits;
   snapshot.cache_misses = cache_stats.misses;
   snapshot.cache_coalesced = cache_stats.coalesced;
+  snapshot.mutations = mutations_->Value();
+  snapshot.snapshots_built = snapshots_built_->Value();
+  snapshot.solver_nodes = solver_nodes_->Value();
+  snapshot.latency_count = latency_->TotalCount();
+  snapshot.latency_p50_us = latency_->PercentileUpperBound(50.0);
+  snapshot.latency_p99_us = latency_->PercentileUpperBound(99.0);
+  for (size_t i = 0; i < snapshot.phase_us.size(); ++i) {
+    snapshot.phase_us[i] = phase_us_[i]->Value();
+  }
   return snapshot;
+}
+
+double MetricsSnapshot::cache_hit_rate() const {
+  const uint64_t lookups = cache_hits + cache_misses;
+  if (lookups == 0) return 0.0;
+  return static_cast<double>(cache_hits) / static_cast<double>(lookups);
+}
+
+double MetricsSnapshot::failure_rate() const {
+  const uint64_t finished = queries_served + queries_failed;
+  if (finished == 0) return 0.0;
+  return static_cast<double>(queries_failed) /
+         static_cast<double>(finished);
+}
+
+std::string MetricsSnapshot::ToString() const {
+  const auto rate = [](double value) {
+    std::ostringstream os;
+    os << std::fixed << std::setprecision(2) << value;
+    return os.str();
+  };
+  return StrCat("queries_served=", queries_served,
+                " queries_failed=", queries_failed,
+                " cancellations=", cancellations,
+                " deadline_exceeded=", deadline_exceeded,
+                " cache_hits=", cache_hits, " cache_misses=", cache_misses,
+                " cache_coalesced=", cache_coalesced,
+                " mutations=", mutations,
+                " snapshots_built=", snapshots_built,
+                " solver_nodes=", solver_nodes,
+                " hit_rate=", rate(cache_hit_rate()),
+                " failure_rate=", rate(failure_rate()),
+                " latency{count=", latency_count, " p50_us<=", latency_p50_us,
+                " p99_us<=", latency_p99_us, "}",
+                " phase_us{snapshot=", phase_us[0],
+                " resolve=", phase_us[1], " solve=", phase_us[2],
+                " explain=", phase_us[3], "}");
 }
 
 StatusOr<std::shared_ptr<const QueryEngine::Snapshot>>
@@ -403,7 +518,7 @@ QueryEngine::AcquireSnapshot(const CancelToken& cancel, SpanContext* span,
     work->ground_rules += ground_stats.rules_emitted;
     work->index_probes += ground_stats.index_probes;
   }
-  metrics_.RecordSnapshotBuilt();
+  snapshots_built_->Increment();
   cache_.EvictStale(snapshot->revision);
   return snapshot;
 }
@@ -559,7 +674,7 @@ StatusOr<ModelCache::Lookup> QueryEngine::StableModelsFor(
         StableSolverStats stats;
         StatusOr<std::vector<Interpretation>> models =
             solver.StableModels(&stats);
-        metrics_.RecordSolverNodes(stats.nodes);
+        solver_nodes_->Increment(stats.nodes);
         if (stats.subtrees > 0) {
           solver_parallel_subtrees_->Increment(stats.subtrees);
           solver_parallel_steals_->Increment(stats.steals);
@@ -602,6 +717,15 @@ StatusOr<ModelCache::Lookup> QueryEngine::StableModelsFor(
 }
 
 StatusOr<QueryAnswer> QueryEngine::Run(const QueryRequest& request) {
+  // Span routing: an embedder-owned context (the KB server's request
+  // trace) wins and keeps its owner's commit decision. Otherwise the
+  // engine's own tracer may start a trace — recording unsampled queries
+  // too while the slow log is armed, so a query that turns out slow still
+  // commits a complete trace (always-sample-on-slow).
+  RootSpan root(request.span == nullptr ? &tracer_ : nullptr,
+                slow_log_ != nullptr);
+  SpanContext* span = request.span != nullptr ? request.span : root.context();
+
   const CancelToken::Clock::time_point start = CancelToken::Clock::now();
   CancelToken cancel = request.cancel;
   if (request.deadline.has_value()) {
@@ -622,48 +746,10 @@ StatusOr<QueryAnswer> QueryEngine::Run(const QueryRequest& request) {
     trace = &*tee;
   }
 
-  // Span routing: an embedder-owned context (the KB server's request
-  // trace) wins and keeps its owner's commit decision. Otherwise, when
-  // spans are enabled, head-sample a fresh trace — and when the slow log
-  // is armed, record unsampled queries too, so a query that turns out
-  // slow still commits a complete trace (always-sample-on-slow).
-  SpanContext* span = request.span;
-  std::optional<SpanContext> local_span;
-  if (span == nullptr && trace_store_ != nullptr) {
-    const bool sampled = span_sampler_->Sample();
-    if (sampled || slow_log_ != nullptr) {
-      local_span.emplace(span_sampler_->NextTraceId(), /*recording=*/true,
-                         sampled);
-      span = &*local_span;
-    }
-  }
   ScopedSpan query_span =
-      span != nullptr ? span->StartSpan("query") : ScopedSpan();
-
-  // Phase clock: EndPhase closes the current phase, accumulating its wall
-  // time into the metrics and (when tracing) emitting one kPhase event.
-  CancelToken::Clock::time_point phase_start = start;
-  std::array<uint64_t, 4> phase_us{};  // also reported for failed queries
-  uint64_t observed_revision = 0;      // snapshot revision, once acquired
-  const auto end_phase = [&](QueryPhaseCode phase, uint32_t component) {
-    const CancelToken::Clock::time_point now = CancelToken::Clock::now();
-    const uint64_t us = static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(now -
-                                                              phase_start)
-            .count());
-    phase_start = now;
-    phase_us[static_cast<size_t>(phase)] = us;
-    metrics_.RecordPhase(phase, us);
-    if (trace != nullptr) {
-      TraceEvent event;
-      event.kind = TraceEventKind::kPhase;
-      event.component = component;
-      event.a = static_cast<uint64_t>(phase);
-      event.duration_us = us;
-      trace->Emit(event);
-    }
-    return std::chrono::microseconds(us);
-  };
+      span != nullptr ? span->StartSpan("query", start) : ScopedSpan();
+  PhaseClock phases(span, phase_us_, start);
+  uint64_t observed_revision = 0;  // snapshot revision, once acquired
 
   StatusOr<QueryAnswer> result = [&]() -> StatusOr<QueryAnswer> {
     if (request.explain && request.mode != QueryMode::kSkeptical) {
@@ -674,13 +760,10 @@ StatusOr<QueryAnswer> QueryEngine::Run(const QueryRequest& request) {
     ORDLOG_RETURN_IF_ERROR(cancel.Check());
     QueryAnswer answer;
     answer.trace_id = span != nullptr ? span->trace_id() : 0;
-    ScopedSpan phase_span =
-        span != nullptr ? span->StartSpan("snapshot") : ScopedSpan();
+    phases.Enter(QueryPhaseCode::kSnapshot);
     ORDLOG_ASSIGN_OR_RETURN(std::shared_ptr<const Snapshot> snapshot,
                             AcquireSnapshot(cancel, span, &answer.work));
-    phase_span.End();
-    answer.phases.snapshot = end_phase(QueryPhaseCode::kSnapshot, 0);
-    phase_span = span != nullptr ? span->StartSpan("resolve") : ScopedSpan();
+    phases.Enter(QueryPhaseCode::kResolve);
     ORDLOG_ASSIGN_OR_RETURN(const ComponentId view,
                             ResolveModule(*snapshot, request.module));
     std::optional<GroundLiteral> literal;
@@ -688,8 +771,7 @@ StatusOr<QueryAnswer> QueryEngine::Run(const QueryRequest& request) {
       ORDLOG_ASSIGN_OR_RETURN(literal,
                               ResolveLiteral(*snapshot, request.literal));
     }
-    phase_span.End();
-    answer.phases.resolve = end_phase(QueryPhaseCode::kResolve, view);
+    phases.Enter(QueryPhaseCode::kSolve);
 
     answer.mode = request.mode;
     answer.revision = snapshot->revision;
@@ -697,7 +779,6 @@ StatusOr<QueryAnswer> QueryEngine::Run(const QueryRequest& request) {
     // Kept alive past the switch for the explain phase (the derivation
     // walks the same least model the answer was read from).
     ModelCache::Lookup skeptical_lookup;
-    phase_span = span != nullptr ? span->StartSpan("solve") : ScopedSpan();
     switch (request.mode) {
       case QueryMode::kSkeptical: {
         ORDLOG_ASSIGN_OR_RETURN(
@@ -750,12 +831,9 @@ StatusOr<QueryAnswer> QueryEngine::Run(const QueryRequest& request) {
         break;
       }
     }
-    phase_span.End();
-    answer.phases.solve = end_phase(QueryPhaseCode::kSolve, view);
 
     if (request.explain) {
-      phase_span =
-          span != nullptr ? span->StartSpan("explain") : ScopedSpan();
+      phases.Enter(QueryPhaseCode::kExplain);
       if (!literal.has_value()) {
         answer.explanation =
             StrCat("{\"query\":", JsonQuote(request.literal),
@@ -770,19 +848,21 @@ StatusOr<QueryAnswer> QueryEngine::Run(const QueryRequest& request) {
                                   skeptical_lookup.entry->least_model);
         answer.explanation = builder.ToJson(*literal);
       }
-      phase_span.End();
-      answer.phases.explain = end_phase(QueryPhaseCode::kExplain, view);
     }
     return answer;
   }();
 
-  const std::chrono::microseconds latency =
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          CancelToken::Clock::now() - start);
+  // The query's last boundary: closes the open phase (also on an early
+  // error return) and ends the query.
+  const uint64_t latency_us = static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(phases.Close() -
+                                                            start)
+          .count());
+  const std::chrono::microseconds latency(latency_us);
   const bool is_slow =
       slow_log_ != nullptr && latency >= *options_.slow_query_threshold;
   if (span != nullptr && is_slow) span->MarkSlow();
-  query_span.End();
+  query_span.End(latency_us);
   // Exemplars must resolve in /tracez, so only trace ids that will be
   // committed (head-sampled, or slow — ShouldCommit is monotone once the
   // query finished) are stamped onto the latency histogram.
@@ -790,11 +870,15 @@ StatusOr<QueryAnswer> QueryEngine::Run(const QueryRequest& request) {
       span != nullptr && span->ShouldCommit() ? span->trace_id() : 0;
   if (result.ok()) {
     result->latency = latency;
-    metrics_.RecordServed(latency, exemplar);
+    queries_served_->Increment();
+    latency_->Record(latency_us, exemplar);
   } else {
+    queries_failed_->Increment();
     const StatusCode code = result.status().code();
-    metrics_.RecordFailure(code == StatusCode::kCancelled,
-                           code == StatusCode::kDeadlineExceeded);
+    if (code == StatusCode::kCancelled) queries_cancelled_->Increment();
+    if (code == StatusCode::kDeadlineExceeded) {
+      queries_deadline_exceeded_->Increment();
+    }
   }
 
   if (is_slow) {
@@ -808,8 +892,8 @@ StatusOr<QueryAnswer> QueryEngine::Run(const QueryRequest& request) {
     record.status = result.ok() ? "ok" : result.status().ToString();
     record.cache_hit = result.ok() && result->cache_hit;
     record.revision = observed_revision;
-    record.latency_us = static_cast<uint64_t>(latency.count());
-    record.phase_us = phase_us;
+    record.latency_us = latency_us;
+    record.phase_us = phases.us();
     record.events = capture->Events();
     record.events_emitted = capture->total_emitted();
     slow_log_->Add(std::move(record));
@@ -818,16 +902,10 @@ StatusOr<QueryAnswer> QueryEngine::Run(const QueryRequest& request) {
 
   // Commit the engine-owned trace; an embedder-owned context is committed
   // by its owner (the KB server), which sees the MarkSlow above.
-  if (local_span.has_value() && local_span->ShouldCommit()) {
-    span_traces_family_
-        ->WithLabels(local_span->head_sampled() ? "sampled" : "slow")
-        .Increment();
-    TraceRecord trace_record = local_span->Finish(
-        options_.tenant_label, "query",
-        StrCat(request.module, " ", QueryModeName(request.mode), " ",
-               request.literal));
-    span_spans_total_->Increment(trace_record.spans.size());
-    trace_store_->Add(std::move(trace_record));
+  if (root.ShouldCommit()) {
+    root.Commit(options_.tenant_label, "query",
+                StrCat(request.module, " ", QueryModeName(request.mode), " ",
+                       request.literal));
   }
   return result;
 }

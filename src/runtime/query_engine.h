@@ -1,6 +1,7 @@
 #ifndef ORDLOG_RUNTIME_QUERY_ENGINE_H_
 #define ORDLOG_RUNTIME_QUERY_ENGINE_H_
 
+#include <array>
 #include <chrono>
 #include <functional>
 #include <future>
@@ -20,7 +21,6 @@
 #include "obs/slow_query_log.h"
 #include "obs/span.h"
 #include "obs/statsz_server.h"
-#include "runtime/metrics.h"
 #include "runtime/model_cache.h"
 #include "runtime/thread_pool.h"
 
@@ -64,9 +64,10 @@ struct QueryEngineOptions {
   EvalOptions eval;
   ModelCacheOptions cache;
   // Structured trace sink (not owned; null = tracing off, the default).
-  // When set, the engine emits one kPhase event per completed query phase
-  // and threads the sink into the least-model / stable-model computations
-  // (fixpoint rounds, solver search, rule statuses). The sink must be
+  // When set, the engine threads the sink into the least-model /
+  // stable-model computations (fixpoint rounds, solver search, rule
+  // statuses). Query phases are timed by spans and metrics, not trace
+  // events (docs/TRACING.md). The sink must be
   // thread-safe: concurrent queries interleave their events. To also see
   // grounding events, construct the KnowledgeBase with GrounderOptions
   // carrying the same sink.
@@ -122,14 +123,6 @@ struct QueryRequest {
   SpanContext* span = nullptr;
 };
 
-// Wall time spent in each stage of one query (see QueryPhaseCode).
-struct QueryPhaseTimings {
-  std::chrono::microseconds snapshot{0};
-  std::chrono::microseconds resolve{0};
-  std::chrono::microseconds solve{0};
-  std::chrono::microseconds explain{0};
-};
-
 // Work performed computing one answer, for per-tenant cost attribution.
 // Only the query that actually computes bills work: cache hits and
 // coalesced waits report zeros, so summing QueryWork across queries never
@@ -160,12 +153,47 @@ struct QueryAnswer {
   // DerivationBuilder::ToJson for the schema).
   std::string explanation;
   std::chrono::microseconds latency{0};
-  QueryPhaseTimings phases;
   // Id of the span trace this query recorded into (0 when spans are off);
   // committed traces are fetchable from /tracez by this id.
   uint64_t trace_id = 0;
   // Work computed by this query (zeros on cache hits; see QueryWork).
   QueryWork work;
+};
+
+// Point-in-time copy of a QueryEngine's counters, read from the engine's
+// registry instruments and ModelCache::stats(). Latency percentiles are
+// approximate (log2-bucketed; the reported value is the upper bound of
+// the bucket containing the percentile).
+struct MetricsSnapshot {
+  uint64_t queries_served = 0;    // finished OK
+  uint64_t queries_failed = 0;    // finished with any non-OK status
+  uint64_t cancellations = 0;     // of those, kCancelled
+  uint64_t deadline_exceeded = 0; // of those, kDeadlineExceeded
+  uint64_t cache_hits = 0;
+  uint64_t cache_misses = 0;
+  uint64_t cache_coalesced = 0;
+  uint64_t mutations = 0;
+  uint64_t snapshots_built = 0;   // KB reground+copy events
+  uint64_t solver_nodes = 0;      // cumulative stable-search nodes
+  uint64_t latency_count = 0;
+  uint64_t latency_p50_us = 0;
+  uint64_t latency_p99_us = 0;
+  // Cumulative wall time per query phase (QueryPhaseCode order:
+  // snapshot, resolve, solve, explain), in microseconds.
+  std::array<uint64_t, kNumQueryPhases> phase_us{};
+
+  // Fraction of cache lookups served from a completed entry:
+  // hits / (hits + misses), counting coalesced waits as neither; 0.0 when
+  // no lookups happened yet.
+  double cache_hit_rate() const;
+
+  // Fraction of finished queries that failed:
+  // failed / (served + failed); 0.0 before the first query finishes.
+  double failure_rate() const;
+
+  // One-line dashboard form, e.g.
+  // "served=5 failed=0 ... hit_rate=0.80 failure_rate=0.00".
+  std::string ToString() const;
 };
 
 // A concurrent serving front-end for KnowledgeBase: the paper's semantics
@@ -250,7 +278,7 @@ class QueryEngine {
   const SlowQueryLog* slow_query_log() const { return slow_log_.get(); }
   // The engine's span trace store (what /tracez serves), or null when
   // QueryEngineOptions::spans is disabled.
-  TraceStore* trace_store() { return trace_store_.get(); }
+  TraceStore* trace_store() { return tracer_.store(); }
   // The statsz server's bound port; -1 when the server is disabled or
   // failed to start (see statsz_status()).
   int statsz_port() const;
@@ -306,17 +334,27 @@ class QueryEngine {
   const QueryEngineOptions options_;
 
   // Lock order (outer to inner): kb_mutex_ -> snapshot_mutex_ /
-  // parse_mutex_. The cache, metrics, registry, and slow log have their
+  // parse_mutex_. The cache, registry, tracer, and slow log have their
   // own internal locking and are never held across engine locks.
   mutable std::shared_mutex kb_mutex_;
   std::mutex snapshot_mutex_;
   std::mutex parse_mutex_;
   std::shared_ptr<const Snapshot> snapshot_;
 
-  // Declared before metrics_: the instruments it registers live here.
+  // Declared before every instrument pointer below: they live here.
   MetricsRegistry registry_;
   ModelCache cache_;
-  RuntimeMetrics metrics_;
+  // Query outcomes (ordlog_queries_total{status}).
+  Counter* queries_served_;
+  Counter* queries_failed_;
+  Counter* queries_cancelled_;
+  Counter* queries_deadline_exceeded_;
+  Counter* mutations_;
+  Counter* snapshots_built_;
+  Counter* solver_nodes_;
+  // ordlog_query_phase_us{phase}, indexed by QueryPhaseCode.
+  std::array<Counter*, kNumQueryPhases> phase_us_;
+  Histogram* latency_;
   // Per-component semantic stats, labeled {component, status} /
   // {component, event}; children are created lazily per component.
   CounterFamily* rule_status_family_;
@@ -348,13 +386,9 @@ class QueryEngine {
   Counter* delta_rules_total_;
   Counter* delta_atoms_total_;
   Counter* slow_queries_;
-  // Span traces committed to the store, labeled by commit reason
-  // (sampled / slow), and total spans inside them.
-  CounterFamily* span_traces_family_;
-  Counter* span_spans_total_;
-  // Present iff options_.spans.enabled: head sampler + bounded store.
-  std::unique_ptr<SpanSampler> span_sampler_;
-  std::unique_ptr<TraceStore> trace_store_;
+  // Root traces of queries no embedder traces (store present iff
+  // options_.spans.enabled).
+  SpanTracer tracer_;
   // Warm-start seeds parked by ApplyMutation for the revision
   // warm_revision_, consumed by LeastModelFor's compute path. Guarded by
   // warm_mutex_ (never held across a fixpoint computation).

@@ -2,8 +2,8 @@
 
 #include <time.h>
 
-#include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <optional>
 #include <sstream>
 #include <utility>
@@ -117,7 +117,8 @@ KbServer::KbServer(KbServerOptions options)
         registry_options.metrics = &metrics_;
         return registry_options;
       }()),
-      admission_(options_.admission, &metrics_) {
+      admission_(options_.admission, &metrics_),
+      tracer_(options_.spans, metrics_) {
   requests_ = &metrics_.GetCounterFamily(
       "ordlog_server_requests_total",
       "KB server requests, by tenant ('admin' for the admin surface) and "
@@ -136,28 +137,6 @@ KbServer::KbServer(KbServerOptions options)
   snapshots_ = &metrics_.GetCounterFamily(
       "ordlog_server_snapshots_total",
       "Snapshot rotations completed, by tenant.", {"tenant"});
-  span_traces_ = &metrics_.GetCounterFamily(
-      "ordlog_span_traces_total",
-      "Span traces committed to the trace store, by commit reason: "
-      "reason=sampled for head-sampled requests, reason=slow for "
-      "always-sample-on-slow commits.",
-      {"reason"});
-  span_spans_ =
-      &metrics_
-           .GetCounterFamily(
-               "ordlog_span_spans_total",
-               "Spans inside committed traces (see ordlog_span_traces_total).")
-           .WithLabels();
-
-  if (options_.spans.enabled) {
-    span_sampler_ =
-        std::make_unique<SpanSampler>(options_.spans.sample_probability);
-    trace_store_ = std::make_unique<TraceStore>(
-        std::max<size_t>(1, options_.spans.store_capacity));
-    if (options_.spans.export_sink != nullptr) {
-      trace_store_->SetExportSink(options_.spans.export_sink);
-    }
-  }
 
   HttpServerOptions http_options;
   http_options.port = options_.port;
@@ -166,7 +145,7 @@ KbServer::KbServer(KbServerOptions options)
 
   StatszServerOptions statsz_options;
   statsz_options.registry = &metrics_;
-  statsz_options.traces = trace_store_.get();
+  statsz_options.traces = tracer_.store();
   statsz_options.ready = [this] {
     return ready_.load(std::memory_order_acquire);
   };
@@ -311,20 +290,12 @@ HttpResponse KbServer::HandleTenant(std::string_view tenant_name,
         NotFoundError(StrCat("no such tenant endpoint: ", verb)));
   }
 
-  // One server-owned SpanContext per request when tracing is on. We only
-  // pay for recording when the request is head-sampled or could still
-  // commit via always-sample-on-slow (the tenant engine calls MarkSlow on
-  // this context when the query crosses its slow threshold).
-  SpanContext* span = nullptr;
-  std::optional<SpanContext> span_ctx;
-  if (span_sampler_ != nullptr) {
-    const bool sampled = span_sampler_->Sample();
-    if (sampled || tenant.engine->slow_query_log() != nullptr) {
-      span_ctx.emplace(span_sampler_->NextTraceId(), /*recording=*/true,
-                       sampled);
-      span = &*span_ctx;
-    }
-  }
+  // One server-owned trace per request when tracing is on. We only pay
+  // for recording when the request is head-sampled or could still commit
+  // via always-sample-on-slow (the tenant engine calls MarkSlow on this
+  // context when the query crosses its slow threshold).
+  RootSpan root(&tracer_, tenant.engine->slow_query_log() != nullptr);
+  SpanContext* span = root.context();
   ScopedSpan request_span =
       span != nullptr ? span->StartSpan("request") : ScopedSpan();
 
@@ -372,14 +343,7 @@ HttpResponse KbServer::HandleTenant(std::string_view tenant_name,
   registry_.RecordUsage(tenant, delta);
 
   request_span.End();
-  if (span_ctx.has_value() && span_ctx->ShouldCommit()) {
-    span_traces_->WithLabels(span_ctx->head_sampled() ? "sampled" : "slow")
-        .Increment();
-    TraceRecord trace_record =
-        span_ctx->Finish(tenant.name, verb, std::string(request.path));
-    span_spans_->Increment(trace_record.spans.size());
-    trace_store_->Add(std::move(trace_record));
-  }
+  root.Commit(tenant.name, verb, request.path);
   return response;
 }
 
@@ -407,6 +371,12 @@ HttpResponse KbServer::HandleQuery(Tenant& tenant, const HttpRequest& request,
     query.mode = *mode;
     StatusOr<int64_t> deadline_ms = body->GetInt("deadline_ms", 0);
     if (!deadline_ms.ok()) return ErrorResponse(deadline_ms.status());
+    // Bounded so that adding it to a clock reading cannot overflow.
+    constexpr int64_t kMaxDeadlineMs = int64_t{1} << 32;
+    if (*deadline_ms > kMaxDeadlineMs || *deadline_ms < -kMaxDeadlineMs) {
+      return ErrorResponse(InvalidArgumentError(
+          StrCat("deadline_ms must be within +/-", kMaxDeadlineMs)));
+    }
     // 0 (or absent) = engine default; negative = already expired, which
     // QueryRequest honors (useful for load-shedding and tests).
     if (*deadline_ms != 0) {

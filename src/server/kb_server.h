@@ -104,6 +104,9 @@ class KbServer {
   MetricsRegistry metrics_;
   KbRegistry registry_;
   AdmissionController admission_;
+  // Request-span roots: head sampling, commits, and the /tracez store
+  // (present iff options_.spans.enabled).
+  SpanTracer tracer_;
   std::unique_ptr<HttpServer> http_;
   bool started_ = false;
   // /readyz gate: false until startup recovery completes (see Start).
@@ -114,14 +117,6 @@ class KbServer {
   CounterFamily* wal_records_ = nullptr;   // {tenant}
   CounterFamily* wal_bytes_ = nullptr;     // {tenant}
   CounterFamily* snapshots_ = nullptr;     // {tenant}
-  CounterFamily* span_traces_ = nullptr;   // {reason}
-  Counter* span_spans_ = nullptr;
-
-  // Request-span machinery; both null when options_.spans.enabled is
-  // false. The sampler decides head sampling per admitted request; the
-  // store backs /tracez.
-  std::unique_ptr<SpanSampler> span_sampler_;
-  std::unique_ptr<TraceStore> trace_store_;
 };
 
 // Maps a library Status to the wire protocol's HTTP status code (200 for

@@ -5,8 +5,8 @@
 
 namespace ordlog {
 
-// The kinds of structured trace events emitted by the semantics core, the
-// grounder, and the runtime. Every event is a fixed-size POD (TraceEvent)
+// The kinds of structured trace events emitted by the semantics core and
+// the grounder. Every event is a fixed-size POD (TraceEvent)
 // so that sinks can buffer them without allocation; the per-kind meaning
 // of the payload fields is documented on each enumerator and, with units,
 // in docs/TRACING.md.
@@ -45,9 +45,6 @@ enum class TraceEventKind : uint8_t {
   // `c` = total candidate bindings matched, `duration_us` = total wall
   // time.
   kGroundDone,
-  // A runtime query phase completed: `a` = phase (QueryPhaseCode below),
-  // `duration_us` = wall time of the phase.
-  kPhase,
   // A KB mutation patched the cached ground program in place instead of
   // regrounding: `component` = first mutated component, `a` = ground rules
   // appended, `b` = ground atoms appended, `c` = new universe terms,
@@ -64,15 +61,6 @@ enum class RuleStatusCode : uint8_t {
   kOverruled,       // silenced by a strictly more specific rule
   kDefeated,        // silenced by an incomparable/equal-component rule
   kNotApplicable,   // body not satisfied (and not blocked)
-};
-
-// Payload values for TraceEvent::a under kPhase: the stages of a
-// QueryEngine query, in execution order.
-enum class QueryPhaseCode : uint8_t {
-  kSnapshot = 0,  // acquire/refresh the immutable ground snapshot
-  kResolve,       // module + literal resolution (parsing)
-  kSolve,         // least-model or stable-model computation
-  kExplain,       // derivation-graph construction (when requested)
 };
 
 // One structured trace event. Field roles depend on `kind` (see the
@@ -95,8 +83,8 @@ struct TraceEvent {
   uint64_t a = 0;
   uint64_t b = 0;
   uint64_t c = 0;
-  // Wall time in microseconds for the *Done / kGroundComponent / kPhase
-  // events; zero elsewhere.
+  // Wall time in microseconds for the *Done / kGroundComponent /
+  // kDeltaGround events; zero elsewhere.
   uint64_t duration_us = 0;
 };
 
@@ -105,9 +93,6 @@ const char* TraceEventKindName(TraceEventKind kind);
 
 // Canonical lowercase name of a rule status ("applied", "overruled", ...).
 const char* RuleStatusCodeName(RuleStatusCode code);
-
-// Canonical lowercase name of a query phase ("snapshot", "solve", ...).
-const char* QueryPhaseCodeName(QueryPhaseCode code);
 
 }  // namespace ordlog
 

@@ -16,7 +16,6 @@ const char* TraceEventKindName(TraceEventKind kind) {
     case TraceEventKind::kSolverBacktrack: return "solver_backtrack";
     case TraceEventKind::kGroundComponent: return "ground_component";
     case TraceEventKind::kGroundDone: return "ground_done";
-    case TraceEventKind::kPhase: return "phase";
     case TraceEventKind::kDeltaGround: return "delta_ground";
   }
   return "unknown";
@@ -30,16 +29,6 @@ const char* RuleStatusCodeName(RuleStatusCode code) {
     case RuleStatusCode::kOverruled: return "overruled";
     case RuleStatusCode::kDefeated: return "defeated";
     case RuleStatusCode::kNotApplicable: return "not_applicable";
-  }
-  return "unknown";
-}
-
-const char* QueryPhaseCodeName(QueryPhaseCode code) {
-  switch (code) {
-    case QueryPhaseCode::kSnapshot: return "snapshot";
-    case QueryPhaseCode::kResolve: return "resolve";
-    case QueryPhaseCode::kSolve: return "solve";
-    case QueryPhaseCode::kExplain: return "explain";
   }
   return "unknown";
 }
@@ -134,11 +123,6 @@ std::string TraceEventToJson(const TraceEvent& event) {
     case TraceEventKind::kGroundDone:
       os << ",\"rules\":" << event.a << ",\"atoms\":" << event.b
          << ",\"matched\":" << event.c
-         << ",\"duration_us\":" << event.duration_us;
-      break;
-    case TraceEventKind::kPhase:
-      os << ",\"phase\":\""
-         << QueryPhaseCodeName(static_cast<QueryPhaseCode>(event.a)) << '"'
          << ",\"duration_us\":" << event.duration_us;
       break;
     case TraceEventKind::kDeltaGround:

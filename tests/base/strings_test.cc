@@ -1,5 +1,8 @@
 #include "base/strings.h"
 
+#include <cstddef>
+#include <cstdint>
+
 #include "gtest/gtest.h"
 
 namespace ordlog {
@@ -44,6 +47,22 @@ TEST(StringsTest, StartsWith) {
   EXPECT_TRUE(StartsWith("component c", "component"));
   EXPECT_FALSE(StartsWith("comp", "component"));
   EXPECT_TRUE(StartsWith("anything", ""));
+}
+
+TEST(StringsTest, ParseNumberIsStrict) {
+  EXPECT_EQ(ParseNumber<int>("8080"), 8080);
+  EXPECT_EQ(ParseNumber<int64_t>("-12"), -12);
+  EXPECT_EQ(ParseNumber<size_t>("4"), 4u);
+  EXPECT_EQ(ParseNumber<double>("0.25"), 0.25);
+  // The whole text must be one number that fits the type.
+  EXPECT_FALSE(ParseNumber<int>("").has_value());
+  EXPECT_FALSE(ParseNumber<int>("abc").has_value());
+  EXPECT_FALSE(ParseNumber<int>("80x").has_value());
+  EXPECT_FALSE(ParseNumber<int>(" 80").has_value());
+  EXPECT_FALSE(ParseNumber<int>("+80").has_value());
+  EXPECT_FALSE(ParseNumber<size_t>("-1").has_value());
+  EXPECT_FALSE(ParseNumber<int64_t>("99999999999999999999").has_value());
+  EXPECT_FALSE(ParseNumber<double>("foo").has_value());
 }
 
 }  // namespace

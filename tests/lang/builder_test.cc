@@ -60,6 +60,27 @@ TEST(BuilderTest, TokenConventions) {
             "p(X, penguin, 42, -7, _G).");
 }
 
+TEST(BuilderTest, OutOfRangeIntegersAreErrors) {
+  ProgramBuilder args;
+  args.Component("c").Rule("p", {"99999999999999999999"});
+  const auto from_args = args.Build();
+  ASSERT_FALSE(from_args.ok());
+  EXPECT_EQ(from_args.status().code(), StatusCode::kInvalidArgument);
+
+  ProgramBuilder constraints;
+  constraints.Component("c").Rule("p", {"X"}).If("q", {"X"}).Where(
+      "X", CompareOp::kLt, "-99999999999999999999");
+  const auto from_constraints = constraints.Build();
+  ASSERT_FALSE(from_constraints.ok());
+  EXPECT_EQ(from_constraints.status().code(), StatusCode::kInvalidArgument);
+
+  // The int64_t extremes themselves still build.
+  ProgramBuilder extremes;
+  extremes.Component("c").Rule(
+      "p", {"9223372036854775807", "-9223372036854775808"});
+  EXPECT_TRUE(extremes.Build().ok());
+}
+
 TEST(BuilderTest, WhereBuildsConstraints) {
   ProgramBuilder builder;
   builder.Component("c2").Rule("take_loan").If("inflation", {"X"}).Where(

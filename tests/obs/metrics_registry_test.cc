@@ -27,16 +27,12 @@ TEST(MetricNameTest, RejectsMalformedNames) {
   EXPECT_FALSE(IsValidMetricName("ordlog_queries total")); // space
 }
 
-TEST(CounterTest, IncrementAndMirrorFloor) {
+TEST(CounterTest, Increment) {
   Counter counter;
   EXPECT_EQ(counter.Value(), 0u);
   counter.Increment();
   counter.Increment(4);
   EXPECT_EQ(counter.Value(), 5u);
-  counter.MirrorFloor(3);  // below current: no change
-  EXPECT_EQ(counter.Value(), 5u);
-  counter.MirrorFloor(10);  // raises
-  EXPECT_EQ(counter.Value(), 10u);
 }
 
 TEST(GaugeTest, SetAndAdd) {
@@ -234,18 +230,16 @@ TEST(RegistryTest, RenderJsonShape) {
 
 TEST(RegistryTest, CollectorsRunBeforeRender) {
   MetricsRegistry registry;
-  Counter& mirrored =
-      registry.GetCounterFamily("ordlog_mirrored_total", "mirror")
-          .WithLabels();
-  uint64_t external = 0;
-  registry.AddCollector([&] { mirrored.MirrorFloor(external); });
+  Gauge& mirrored =
+      registry.GetGaugeFamily("ordlog_mirrored", "mirror").WithLabels();
+  int64_t external = 0;
+  registry.AddCollector([&] { mirrored.Set(external); });
   external = 42;
   const std::string text = registry.RenderPrometheus();
-  EXPECT_NE(text.find("ordlog_mirrored_total 42\n"), std::string::npos)
-      << text;
-  // MirrorFloor never regresses even if the external source rewinds.
+  EXPECT_NE(text.find("ordlog_mirrored 42\n"), std::string::npos) << text;
+  // Every render re-runs the collector.
   external = 7;
-  EXPECT_NE(registry.RenderPrometheus().find("ordlog_mirrored_total 42\n"),
+  EXPECT_NE(registry.RenderPrometheus().find("ordlog_mirrored 7\n"),
             std::string::npos);
 }
 

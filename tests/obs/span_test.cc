@@ -1,9 +1,11 @@
 // Tests for the request-span subsystem: SpanContext nesting and commit
-// policy, the hex trace-id wire format, the sampler, the bounded trace
+// policy, caller-timed spans, the shared root-trace path (SpanTracer /
+// RootSpan), the hex trace-id wire format, the sampler, the bounded trace
 // store behind /tracez, JSON serialization, the ASCII span tree, and the
 // JSON-lines export sink.
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <optional>
 #include <set>
@@ -118,6 +120,92 @@ TEST(SpanContextTest, FinishClosesOpenSpansAndAttributeTotalSums) {
   EXPECT_GE(record.spans[0].duration_us, 1u);
   EXPECT_GE(record.spans[1].duration_us, 1u);
   EXPECT_EQ(record.duration_us, record.spans[0].duration_us);
+}
+
+TEST(SpanContextTest, CallerTimedSpansKeepTheirReadings) {
+  SpanContext context(11, /*recording=*/true, /*head_sampled=*/true);
+  const SpanContext::Clock::time_point at =
+      SpanContext::Clock::now() + std::chrono::microseconds(50);
+  ScopedSpan timed = context.StartSpan("phase", at);
+  timed.End(0);  // a sub-microsecond phase stays 0, not rounded up
+  timed.End(7);  // already closed: no effect
+  // A reading from before the trace started clamps to offset 0.
+  ScopedSpan early = context.StartSpan(
+      "early", SpanContext::Clock::now() - std::chrono::seconds(1));
+  early.End(3);
+  const TraceRecord record = context.Finish("", "query", "");
+  ASSERT_EQ(record.spans.size(), 2u);
+  EXPECT_GE(record.spans[0].start_us, 50u);
+  EXPECT_EQ(record.spans[0].duration_us, 0u);
+  EXPECT_EQ(record.spans[1].start_us, 0u);
+  EXPECT_EQ(record.spans[1].duration_us, 3u);
+}
+
+TEST(SpanTracerTest, DisabledTracerRegistersCountersAndStaysInert) {
+  MetricsRegistry registry;
+  SpanTracer tracer(SpanOptions{}, registry);
+  EXPECT_EQ(tracer.store(), nullptr);
+  RootSpan root(&tracer, /*record_unsampled=*/true);
+  EXPECT_EQ(root.context(), nullptr);
+  EXPECT_FALSE(root.ShouldCommit());
+  root.Commit("", "query", "");  // no-op
+  const std::string text = registry.RenderPrometheus();
+  EXPECT_NE(text.find("# TYPE ordlog_span_traces_total counter"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("ordlog_span_spans_total 0"), std::string::npos);
+  RootSpan no_tracer(nullptr, /*record_unsampled=*/true);
+  EXPECT_EQ(no_tracer.context(), nullptr);
+}
+
+TEST(SpanTracerTest, RootSpanCommitsWithSampledOrSlowReason) {
+  MetricsRegistry registry;
+  SpanOptions options;
+  options.enabled = true;
+  options.sample_probability = 0.0;
+  SpanTracer tracer(options, registry);
+  ASSERT_NE(tracer.store(), nullptr);
+
+  // Unsampled and not recording unsampled requests: nothing to record.
+  RootSpan skipped(&tracer, /*record_unsampled=*/false);
+  EXPECT_EQ(skipped.context(), nullptr);
+
+  // Unsampled but recording: commits only once marked slow.
+  RootSpan quick(&tracer, /*record_unsampled=*/true);
+  ASSERT_NE(quick.context(), nullptr);
+  ScopedSpan quick_span = quick.context()->StartSpan("request");
+  EXPECT_FALSE(quick.ShouldCommit());
+  quick.Commit("t", "query", "fast");
+  RootSpan slow(&tracer, /*record_unsampled=*/true);
+  ScopedSpan slow_span = slow.context()->StartSpan("request");
+  slow.context()->MarkSlow();
+  slow.Commit("t", "query", "slow");
+  EXPECT_EQ(tracer.store()->stats().traces, 1u);
+  EXPECT_EQ(tracer.store()->stats().slow, 1u);
+
+  SpanOptions always = options;
+  always.sample_probability = 1.0;
+  SpanTracer sampling(always, registry);
+  RootSpan sampled(&sampling, /*record_unsampled=*/false);
+  ASSERT_NE(sampled.context(), nullptr);
+  ScopedSpan request = sampled.context()->StartSpan("request");
+  ScopedSpan child = sampled.context()->StartSpan("admission");
+  sampled.Commit("t", "mutate", "/v1/t/mutate");  // closes open spans
+  const std::vector<TraceRecord> records = sampling.store()->Records();
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].endpoint, "mutate");
+  EXPECT_EQ(records[0].spans.size(), 2u);
+
+  // Both tracers count into the one registry's families.
+  const std::string text = registry.RenderPrometheus();
+  EXPECT_NE(text.find("ordlog_span_traces_total{reason=\"slow\"} 1\n"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("ordlog_span_traces_total{reason=\"sampled\"} 1\n"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("ordlog_span_spans_total 3\n"), std::string::npos)
+      << text;
 }
 
 TEST(ScopedSpanTest, MoveTransfersOwnership) {

@@ -61,6 +61,8 @@ INSTANTIATE_TEST_SUITE_P(
         ErrorCase{"bang_alone", "p :- X ! 3.", "'!='"},
         ErrorCase{"variable_fact", "X.", nullptr},
         ErrorCase{"term_as_rule", "3.", nullptr},
+        ErrorCase{"integer_overflow", "p(99999999999999999999).",
+                  "exceeds 9223372036854775807"},
         ErrorCase{"cycle",
                   "component a {} component b {} order a < b. "
                   "order b < a.",

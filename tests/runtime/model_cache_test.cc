@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -17,7 +18,8 @@ ModelEntry EntryWithNodes(size_t nodes) {
 }
 
 TEST(ModelCacheTest, MissThenHit) {
-  ModelCache cache;
+  MetricsRegistry registry;
+  ModelCache cache({}, registry);
   CancelToken cancel;
   const ModelCacheKey key{/*revision=*/1, /*view=*/0,
                           CacheKind::kLeastModel};
@@ -40,10 +42,19 @@ TEST(ModelCacheTest, MissThenHit) {
   const ModelCache::Stats stats = cache.stats();
   EXPECT_EQ(stats.misses, 1u);
   EXPECT_EQ(stats.hits, 1u);
+  // The stats are the registry's instruments: the exposition agrees.
+  const std::string text = registry.RenderPrometheus();
+  EXPECT_NE(text.find("ordlog_cache_requests_total{outcome=\"hit\"} 1"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("ordlog_cache_requests_total{outcome=\"miss\"} 1"),
+            std::string::npos)
+      << text;
 }
 
 TEST(ModelCacheTest, DistinctKeysDoNotCollide) {
-  ModelCache cache;
+  MetricsRegistry registry;
+  ModelCache cache({}, registry);
   CancelToken cancel;
   const auto compute_a = [] { return StatusOr<ModelEntry>(EntryWithNodes(1)); };
   const auto compute_b = [] { return StatusOr<ModelEntry>(EntryWithNodes(2)); };
@@ -61,7 +72,8 @@ TEST(ModelCacheTest, DistinctKeysDoNotCollide) {
 }
 
 TEST(ModelCacheTest, FailedComputeIsNotCached) {
-  ModelCache cache;
+  MetricsRegistry registry;
+  ModelCache cache({}, registry);
   CancelToken cancel;
   const ModelCacheKey key{1, 0, CacheKind::kStableModels};
   int computes = 0;
@@ -85,7 +97,8 @@ TEST(ModelCacheTest, FailedComputeIsNotCached) {
 }
 
 TEST(ModelCacheTest, ConcurrentCallersCoalesceOntoOneComputation) {
-  ModelCache cache;
+  MetricsRegistry registry;
+  ModelCache cache({}, registry);
   const ModelCacheKey key{1, 0, CacheKind::kStableModels};
   std::atomic<int> computes{0};
   std::atomic<int> waiters_started{0};
@@ -120,7 +133,8 @@ TEST(ModelCacheTest, ConcurrentCallersCoalesceOntoOneComputation) {
 }
 
 TEST(ModelCacheTest, WaiterHonorsItsOwnDeadline) {
-  ModelCache cache;
+  MetricsRegistry registry;
+  ModelCache cache({}, registry);
   const ModelCacheKey key{1, 0, CacheKind::kStableModels};
   std::atomic<bool> owner_started{false};
   std::atomic<bool> release_owner{false};
@@ -162,7 +176,8 @@ TEST(ModelCacheTest, WaiterHonorsItsOwnDeadline) {
 }
 
 TEST(ModelCacheTest, EvictStaleDropsOlderRevisionsOnly) {
-  ModelCache cache;
+  MetricsRegistry registry;
+  ModelCache cache({}, registry);
   CancelToken cancel;
   const auto compute = [] { return StatusOr<ModelEntry>(EntryWithNodes(1)); };
   ASSERT_TRUE(
@@ -188,7 +203,8 @@ TEST(ModelCacheTest, CapacityBoundHolds) {
   // the table grew without limit and EvictStale was the only shrink path.
   ModelCacheOptions options;
   options.max_entries = 4;
-  ModelCache cache(options);
+  MetricsRegistry registry;
+  ModelCache cache(options, registry);
   CancelToken cancel;
   const auto compute = [] { return StatusOr<ModelEntry>(EntryWithNodes(1)); };
   for (ComponentId view = 0; view < 32; ++view) {
@@ -205,7 +221,8 @@ TEST(ModelCacheTest, CapacityBoundHolds) {
 TEST(ModelCacheTest, CapacityEvictsOldestCompletedFirst) {
   ModelCacheOptions options;
   options.max_entries = 2;
-  ModelCache cache(options);
+  MetricsRegistry registry;
+  ModelCache cache(options, registry);
   CancelToken cancel;
   const auto compute = [] { return StatusOr<ModelEntry>(EntryWithNodes(1)); };
   ASSERT_TRUE(
@@ -229,7 +246,8 @@ TEST(ModelCacheTest, CapacityEvictsOldestCompletedFirst) {
 TEST(ModelCacheTest, CapacityOneStillServesSingleFlight) {
   ModelCacheOptions options;
   options.max_entries = 1;
-  ModelCache cache(options);
+  MetricsRegistry registry;
+  ModelCache cache(options, registry);
   CancelToken cancel;
   const auto compute = [] { return StatusOr<ModelEntry>(EntryWithNodes(5)); };
   const auto first =
@@ -247,7 +265,8 @@ TEST(ModelCacheTest, CapacityOneStillServesSingleFlight) {
 }
 
 TEST(ModelCacheTest, PreCancelledCallerNeverComputes) {
-  ModelCache cache;
+  MetricsRegistry registry;
+  ModelCache cache({}, registry);
   CancelToken cancel;
   cancel.Cancel();
   int computes = 0;

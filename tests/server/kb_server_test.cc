@@ -414,6 +414,17 @@ TEST_F(KbServerTest, ExpiredDeadlineMapsTo504) {
   EXPECT_EQ(response.code, 504) << response.body;
 }
 
+TEST_F(KbServerTest, OutOfRangeIntegerLiteralIsRejected) {
+  KbServer server(Options());
+  SeedOrderedKb(server, "zoo");
+  // Larger than INT64_MAX: a client error, never a wrapped-around answer.
+  const HttpResponse response = server.Handle(Post(
+      "/v1/zoo/query",
+      R"json({"module":"animals","literal":"p(99999999999999999999)"})json"));
+  EXPECT_EQ(response.code, 400) << response.body;
+  EXPECT_TRUE(Contains(response.body, "exceeds")) << response.body;
+}
+
 TEST_F(KbServerTest, RequestValidationErrors) {
   KbServer server(Options());
   SeedOrderedKb(server, "zoo");
@@ -442,6 +453,14 @@ TEST_F(KbServerTest, RequestValidationErrors) {
           .Handle(Post(
               "/v1/zoo/query",
               R"json({"module":"animals","literal":"fly(tweety)","mode":"psychic"})json"))
+          .code,
+      400);
+  // A deadline too large to add to a clock reading.
+  EXPECT_EQ(
+      server
+          .Handle(Post(
+              "/v1/zoo/query",
+              R"json({"module":"animals","literal":"fly(tweety)","deadline_ms":9000000000000000000})json"))
           .code,
       400);
   // GET where POST is required.

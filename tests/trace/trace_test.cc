@@ -41,11 +41,11 @@ TEST(EventTest, Names) {
                "fixpoint_round");
   EXPECT_STREQ(TraceEventKindName(TraceEventKind::kSolverBacktrack),
                "solver_backtrack");
-  EXPECT_STREQ(TraceEventKindName(TraceEventKind::kPhase), "phase");
+  EXPECT_STREQ(TraceEventKindName(TraceEventKind::kDeltaGround),
+               "delta_ground");
   EXPECT_STREQ(RuleStatusCodeName(RuleStatusCode::kOverruled), "overruled");
   EXPECT_STREQ(RuleStatusCodeName(RuleStatusCode::kNotApplicable),
                "not_applicable");
-  EXPECT_STREQ(QueryPhaseCodeName(QueryPhaseCode::kSolve), "solve");
 }
 
 TEST(EventTest, ToJsonStableShapes) {
@@ -80,12 +80,16 @@ TEST(EventTest, ToJsonStableShapes) {
             "{\"event\":\"solver_branch\",\"node\":9,\"atom\":4,\"value\":2,"
             "\"depth\":1}");
 
-  TraceEvent phase;
-  phase.kind = TraceEventKind::kPhase;
-  phase.a = static_cast<uint64_t>(QueryPhaseCode::kSolve);
-  phase.duration_us = 123;
-  EXPECT_EQ(TraceEventToJson(phase),
-            "{\"event\":\"phase\",\"phase\":\"solve\",\"duration_us\":123}");
+  TraceEvent delta;
+  delta.kind = TraceEventKind::kDeltaGround;
+  delta.component = 1;
+  delta.a = 6;
+  delta.b = 3;
+  delta.c = 2;
+  delta.duration_us = 123;
+  EXPECT_EQ(TraceEventToJson(delta),
+            "{\"event\":\"delta_ground\",\"component\":1,\"rules\":6,"
+            "\"atoms\":3,\"new_terms\":2,\"duration_us\":123}");
 }
 
 TEST(NullSinkTest, DiscardsEvents) {

@@ -13,12 +13,13 @@
 #include <unistd.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <sstream>
 #include <string>
 
 #include "base/build_info.h"
+#include "base/strings.h"
 #include "trace/json.h"
 
 namespace {
@@ -92,9 +93,14 @@ int Send(int port, const std::string& method, const std::string& target,
   }
   ::close(fd);
 
+  // Status line: "HTTP/1.0 200 OK".
   int code = 0;
   const size_t space = response.find(' ');
-  if (space != std::string::npos) code = std::atoi(response.c_str() + space);
+  if (space != std::string::npos) {
+    code = ordlog::ParseNumber<int>(
+               std::string_view(response).substr(space + 1, 3))
+               .value_or(0);
+  }
   const size_t blank = response.find("\r\n\r\n");
   const std::string payload =
       blank == std::string::npos ? response : response.substr(blank + 4);
@@ -113,7 +119,12 @@ int main(int argc, char** argv) {
       return 0;
     }
     if (std::strncmp(argv[arg], "--port=", 7) == 0) {
-      port = std::atoi(argv[arg] + 7);
+      const std::optional<int> parsed = ordlog::ParseNumber<int>(argv[arg] + 7);
+      if (!parsed.has_value() || *parsed < 1 || *parsed > 65535) {
+        std::fprintf(stderr, "kbctl: invalid value in %s\n", argv[arg]);
+        return Usage(argv[0]);
+      }
+      port = *parsed;
     } else {
       break;
     }

@@ -6,13 +6,16 @@
 // port. Runs until SIGINT/SIGTERM (or --serve-seconds for scripted runs).
 
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <limits>
+#include <optional>
 #include <string>
 #include <thread>
 
 #include "base/build_info.h"
+#include "base/strings.h"
 #include "server/kb_server.h"
 
 namespace {
@@ -27,6 +30,18 @@ bool ParseFlag(const char* arg, const char* name, std::string* value) {
     return false;
   }
   *value = arg + name_len + 1;
+  return true;
+}
+
+// Parses all of `value` as a T in [min, max] into `*out`; false (and
+// `*out` untouched) on anything else, NaN included.
+template <typename T>
+bool ParseInRange(const std::string& value, T min, T max, T* out) {
+  const std::optional<T> parsed = ordlog::ParseNumber<T>(value);
+  if (!parsed.has_value() || !(*parsed >= min && *parsed <= max)) {
+    return false;
+  }
+  *out = *parsed;
   return true;
 }
 
@@ -55,9 +70,13 @@ int Usage(const char* argv0) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  constexpr size_t kMaxSize = std::numeric_limits<size_t>::max();
+  constexpr int64_t kMaxInt64 = std::numeric_limits<int64_t>::max();
+  // Durations added to a clock reading stay far from overflowing it.
+  constexpr int64_t kMaxDuration = int64_t{1} << 32;
   ordlog::KbServerOptions options;
-  long serve_seconds = -1;
-  long slow_query_threshold_us = -1;
+  int64_t serve_seconds = -1;
+  int64_t slow_query_threshold_us = -1;
 
   for (int i = 1; i < argc; ++i) {
     std::string value;
@@ -69,37 +88,43 @@ int main(int argc, char** argv) {
       options.spans.enabled = true;
       continue;
     }
+    bool valid = true;
     if (ParseFlag(argv[i], "--span-sample", &value)) {
       options.spans.enabled = true;
-      options.spans.sample_probability = std::atof(value.c_str());
-      continue;
-    }
-    if (ParseFlag(argv[i], "--port", &value)) {
-      options.port = std::atoi(value.c_str());
+      valid = ParseInRange(value, 0.0, 1.0,
+                           &options.spans.sample_probability);
+    } else if (ParseFlag(argv[i], "--port", &value)) {
+      valid = ParseInRange(value, 0, 65535, &options.port);
     } else if (ParseFlag(argv[i], "--data-dir", &value)) {
       options.registry.data_dir = value;
     } else if (ParseFlag(argv[i], "--workers", &value)) {
-      options.num_workers = static_cast<size_t>(std::atol(value.c_str()));
+      valid = ParseInRange<size_t>(value, 1, 1024, &options.num_workers);
     } else if (ParseFlag(argv[i], "--search-threads", &value)) {
-      options.registry.search_threads =
-          static_cast<size_t>(std::atol(value.c_str()));
+      valid = ParseInRange<size_t>(value, 0, 1024,
+                                   &options.registry.search_threads);
     } else if (ParseFlag(argv[i], "--tenant-max-inflight", &value)) {
-      options.admission.tenant_max_inflight =
-          static_cast<size_t>(std::atol(value.c_str()));
+      valid = ParseInRange<size_t>(value, 0, kMaxSize,
+                                   &options.admission.tenant_max_inflight);
     } else if (ParseFlag(argv[i], "--global-max-inflight", &value)) {
-      options.admission.global_max_inflight =
-          static_cast<size_t>(std::atol(value.c_str()));
+      valid = ParseInRange<size_t>(value, 0, kMaxSize,
+                                   &options.admission.global_max_inflight);
     } else if (ParseFlag(argv[i], "--snapshot-every", &value)) {
-      options.registry.snapshot_every =
-          static_cast<size_t>(std::atol(value.c_str()));
+      valid = ParseInRange<size_t>(value, 0, kMaxSize,
+                                   &options.registry.snapshot_every);
     } else if (ParseFlag(argv[i], "--default-deadline-ms", &value)) {
-      options.registry.default_deadline =
-          std::chrono::milliseconds(std::atol(value.c_str()));
+      int64_t ms = 0;
+      valid = ParseInRange<int64_t>(value, 0, kMaxDuration, &ms);
+      options.registry.default_deadline = std::chrono::milliseconds(ms);
     } else if (ParseFlag(argv[i], "--slow-query-threshold-us", &value)) {
-      slow_query_threshold_us = std::atol(value.c_str());
+      valid = ParseInRange<int64_t>(value, 0, kMaxInt64,
+                                    &slow_query_threshold_us);
     } else if (ParseFlag(argv[i], "--serve-seconds", &value)) {
-      serve_seconds = std::atol(value.c_str());
+      valid = ParseInRange<int64_t>(value, 0, kMaxDuration, &serve_seconds);
     } else {
+      return Usage(argv[0]);
+    }
+    if (!valid) {
+      std::fprintf(stderr, "kbserver: invalid value in %s\n", argv[i]);
       return Usage(argv[0]);
     }
   }

@@ -13,8 +13,8 @@
 //                     to the DerivationBuilder JSON schema (one line,
 //                     deterministic — what the golden tests diff).
 //   --events          stream every trace event (grounding, fixpoint
-//                     rounds, rule statuses, solver search, query phases)
-//                     to stdout as JSON lines, before the answers.
+//                     rounds, rule statuses, solver search) to stdout as
+//                     JSON lines, before the answers.
 //   --strip-durations zero the duration_us field of streamed events so
 //                     the event stream is byte-for-byte deterministic.
 //   --stable          enumerate the module's stable models (Def. 9) and
