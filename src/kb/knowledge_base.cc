@@ -1,6 +1,6 @@
 #include "kb/knowledge_base.h"
 
-#include <unordered_set>
+#include <algorithm>
 
 #include "base/strings.h"
 #include "core/least_model.h"
@@ -158,7 +158,7 @@ StatusOr<MutationReport> KnowledgeBase::Apply(const Mutation& mutation) {
 
   MutationReport report;
   std::string ineligible;
-  if (!ground_.has_value()) {
+  if (ground_ == nullptr) {
     ineligible = "no cached ground program to patch";
   } else if (mutation.has_retraction()) {
     ineligible = "retraction invalidates cached ground instances";
@@ -173,6 +173,13 @@ StatusOr<MutationReport> KnowledgeBase::Apply(const Mutation& mutation) {
   if (ineligible.empty()) {
     // Incremental path: patch the cached ground program, then append the
     // rules to the source program so both tell the same story.
+    // Copy-on-write: a reader still holding the program keeps revision N.
+    // No reference can appear under the caller's serialization; lock() is
+    // an acquiring read of the count (use_count() alone is relaxed), so an
+    // in-place patch is ordered after every former holder's last read.
+    if (std::weak_ptr(ground_).lock().use_count() != 2) {  // ground_ + probe
+      ground_ = std::make_shared<GroundProgram>(*ground_);
+    }
     std::vector<DeltaRule> delta;
     delta.reserve(parsed.size());
     std::unordered_map<ComponentId, uint32_t> pending;
@@ -186,7 +193,7 @@ StatusOr<MutationReport> KnowledgeBase::Apply(const Mutation& mutation) {
       delta.push_back(std::move(d));
     }
     StatusOr<DeltaResult> result =
-        DeltaGrounder::Apply(program_, delta, options_, &ground_.value());
+        DeltaGrounder::Apply(program_, delta, options_, ground_.get());
     for (ParsedOp& p : parsed) {
       ORDLOG_RETURN_IF_ERROR(program_.AddRule(p.component, std::move(p.rule)));
     }
@@ -236,10 +243,8 @@ StatusOr<MutationReport> KnowledgeBase::Apply(const Mutation& mutation) {
       const std::vector<SymbolId>& extra = graph.HeadOnlyVarPredicates();
       seeds.insert(seeds.end(), extra.begin(), extra.end());
     }
-    const std::vector<SymbolId> cone = graph.Cone(seeds);
-    const std::unordered_set<SymbolId> cone_set(cone.begin(), cone.end());
-    report.cone = cone;
-    for (SymbolId predicate : cone) {
+    report.cone = graph.Cone(seeds);
+    for (SymbolId predicate : report.cone) {
       report.touched_predicates.push_back(
           std::string(pool_->symbols().Name(predicate)));
     }
@@ -265,13 +270,8 @@ StatusOr<MutationReport> KnowledgeBase::Apply(const Mutation& mutation) {
     // kept, resized to the grown atom universe.
     for (auto it = least_models_.begin(); it != least_models_.end();) {
       if (report.affected_views.Test(it->first)) {
-        Interpretation seed = Interpretation::ForProgram(patched);
-        for (const GroundLiteral& literal : it->second.Literals()) {
-          if (cone_set.count(patched.atom(literal.atom).predicate) == 0) {
-            seed.Add(literal);
-          }
-        }
-        warm_seeds_.insert_or_assign(it->first, std::move(seed));
+        warm_seeds_.insert_or_assign(
+            it->first, RestrictOutsideCone(it->second, patched, report.cone));
         it = least_models_.erase(it);
       } else {
         it->second.Resize(patched.NumAtoms());
@@ -292,15 +292,11 @@ StatusOr<MutationReport> KnowledgeBase::Apply(const Mutation& mutation) {
     // model for unaffected views; affected views additionally shed the new
     // cone (what was outside the old cone and the new cone never changed).
     for (auto& [view, seed] : warm_seeds_) {
-      seed.Resize(patched.NumAtoms());
-      if (!report.affected_views.Test(view)) continue;
-      Interpretation restricted = Interpretation::ForProgram(patched);
-      for (const GroundLiteral& literal : seed.Literals()) {
-        if (cone_set.count(patched.atom(literal.atom).predicate) == 0) {
-          restricted.Add(literal);
-        }
+      if (report.affected_views.Test(view)) {
+        seed = RestrictOutsideCone(seed, patched, report.cone);
+      } else {
+        seed.Resize(patched.NumAtoms());
       }
-      seed = std::move(restricted);
     }
     report.warm_seeded_views = 0;
     for (const auto& [view, seed] : warm_seeds_) {
@@ -365,14 +361,14 @@ StatusOr<const GroundProgram*> KnowledgeBase::ground() {
 StatusOr<const GroundProgram*> KnowledgeBase::ground(
     const CancelToken* cancel, GroundStats* stats) {
   if (stats != nullptr) *stats = GroundStats{};
-  if (!ground_.has_value()) {
+  if (ground_ == nullptr) {
     ORDLOG_RETURN_IF_ERROR(program_.Finalize());
     GrounderOptions options = options_;
     if (cancel != nullptr) options.cancel = cancel;
     if (stats != nullptr) options.stats = stats;
     ORDLOG_ASSIGN_OR_RETURN(GroundProgram ground_program,
                             Grounder::Ground(program_, options));
-    ground_ = std::move(ground_program);
+    ground_ = std::make_shared<GroundProgram>(std::move(ground_program));
     // Extract rule families alongside the grounding, for the fused
     // evaluation strategy. Families describe exactly the default
     // grounder's instance set; configurations that change that set
@@ -383,23 +379,13 @@ StatusOr<const GroundProgram*> KnowledgeBase::ground(
           std::make_shared<const FamilySet>(FamilySet::Extract(program_));
     }
   }
-  return &ground_.value();
+  return ground_.get();
 }
 
 StatusOr<std::optional<GroundLiteral>> KnowledgeBase::ResolveLiteral(
     std::string_view literal_text) {
-  ORDLOG_ASSIGN_OR_RETURN(const Literal literal,
-                          ParseLiteral(literal_text, *pool_));
-  if (!literal.IsGround(*pool_)) {
-    return InvalidArgumentError(
-        StrCat("query literal '", literal_text, "' must be ground"));
-  }
   ORDLOG_ASSIGN_OR_RETURN(const GroundProgram* ground_program, ground());
-  const std::optional<GroundAtomId> atom =
-      ground_program->FindAtom(literal.atom);
-  if (!atom.has_value()) return std::optional<GroundLiteral>();
-  return std::optional<GroundLiteral>(
-      GroundLiteral{*atom, literal.positive});
+  return ResolveGroundLiteral(*pool_, *ground_program, literal_text);
 }
 
 StatusOr<const Interpretation*> KnowledgeBase::LeastModel(
@@ -488,10 +474,7 @@ StatusOr<bool> KnowledgeBase::BravelyHolds(std::string_view module,
   if (!literal.has_value()) return false;
   ORDLOG_ASSIGN_OR_RETURN(const std::vector<Interpretation>* models,
                           StableModels(id));
-  for (const Interpretation& model : *models) {
-    if (model.Contains(*literal)) return true;
-  }
-  return false;
+  return HoldsBravely(*models, literal);
 }
 
 StatusOr<bool> KnowledgeBase::CautiouslyHolds(std::string_view module,
@@ -501,11 +484,7 @@ StatusOr<bool> KnowledgeBase::CautiouslyHolds(std::string_view module,
                           ResolveLiteral(literal_text));
   ORDLOG_ASSIGN_OR_RETURN(const std::vector<Interpretation>* models,
                           StableModels(id));
-  if (!literal.has_value()) return models->empty();
-  for (const Interpretation& model : *models) {
-    if (!model.Contains(*literal)) return false;
-  }
-  return true;
+  return HoldsCautiously(*models, literal);
 }
 
 StatusOr<size_t> KnowledgeBase::CountStableModels(std::string_view module) {
@@ -536,14 +515,63 @@ StatusOr<std::string> KnowledgeBase::ExplainJson(
   ORDLOG_ASSIGN_OR_RETURN(const std::optional<GroundLiteral> literal,
                           ResolveLiteral(literal_text));
   ORDLOG_ASSIGN_OR_RETURN(const GroundProgram* ground_program, ground());
-  if (!literal.has_value()) {
-    return StrCat("{\"query\":", JsonQuote(literal_text),
-                  ",\"module\":", JsonQuote(module),
-                  ",\"truth\":\"undefined\",\"unknown\":true}");
-  }
+  if (!literal.has_value()) return UnknownLiteralJson(module, literal_text);
   ORDLOG_ASSIGN_OR_RETURN(const Interpretation* model, LeastModel(id));
   DerivationBuilder builder(*ground_program, id, *model);
   return builder.ToJson(*literal);
+}
+
+StatusOr<std::optional<GroundLiteral>> ResolveGroundLiteral(
+    TermPool& pool, const GroundProgram& ground,
+    std::string_view literal_text) {
+  ORDLOG_ASSIGN_OR_RETURN(const Literal literal,
+                          ParseLiteral(literal_text, pool));
+  if (!literal.IsGround(pool)) {
+    return InvalidArgumentError(
+        StrCat("query literal '", literal_text, "' must be ground"));
+  }
+  const std::optional<GroundAtomId> atom = ground.FindAtom(literal.atom);
+  if (!atom.has_value()) return std::optional<GroundLiteral>();
+  return std::optional<GroundLiteral>(
+      GroundLiteral{*atom, literal.positive});
+}
+
+bool HoldsBravely(const std::vector<Interpretation>& models,
+                  const std::optional<GroundLiteral>& literal) {
+  if (!literal.has_value()) return false;
+  for (const Interpretation& model : models) {
+    if (model.Contains(*literal)) return true;
+  }
+  return false;
+}
+
+bool HoldsCautiously(const std::vector<Interpretation>& models,
+                     const std::optional<GroundLiteral>& literal) {
+  if (!literal.has_value()) return models.empty();
+  for (const Interpretation& model : models) {
+    if (!model.Contains(*literal)) return false;
+  }
+  return true;
+}
+
+std::string UnknownLiteralJson(std::string_view module,
+                               std::string_view literal_text) {
+  return StrCat("{\"query\":", JsonQuote(literal_text),
+                ",\"module\":", JsonQuote(module),
+                ",\"truth\":\"undefined\",\"unknown\":true}");
+}
+
+Interpretation RestrictOutsideCone(const Interpretation& model,
+                                   const GroundProgram& ground,
+                                   const std::vector<SymbolId>& cone) {
+  Interpretation restricted = Interpretation::ForProgram(ground);
+  for (const GroundLiteral& literal : model.Literals()) {
+    if (!std::binary_search(cone.begin(), cone.end(),
+                            ground.atom(literal.atom).predicate)) {
+      restricted.Add(literal);
+    }
+  }
+  return restricted;
 }
 
 }  // namespace ordlog

@@ -36,8 +36,9 @@ namespace ordlog {
 // intersection of all models — exactly what is certain). Brave/cautious
 // queries range over the stable models (Def. 9).
 //
-// Mutations invalidate the cached ground program; the next query regrounds
-// lazily.
+// Each revision has one ground program, owned here and shared read-only
+// (shared_ground()). Apply may patch it (see there); other mutations drop
+// it, and the next query regrounds lazily.
 class KnowledgeBase {
  public:
   KnowledgeBase();
@@ -78,7 +79,8 @@ class KnowledgeBase {
   // (docs/INCREMENTAL.md). When the batch is add-only, a ground program is
   // cached, and the grounder options permit it (indexed strategy, no
   // reachability pruning, function depth 0), the cached ground program is
-  // patched in place by the delta grounder instead of being dropped; cached
+  // patched by the delta grounder instead of being dropped — in place, or
+  // copy-on-write while shared_ground() holders exist; cached
   // least/stable models of views outside the affected set survive, and
   // affected views keep their previous model restricted to predicates
   // outside the dependency cone as a warm-start seed. Retractions and
@@ -142,6 +144,9 @@ class KnowledgeBase {
   // cached snapshot cost nothing).
   StatusOr<const GroundProgram*> ground(const CancelToken* cancel,
                                         GroundStats* stats);
+  // The cached ground program, as ground() returns it (null until then).
+  // A holder keeps that revision's program alive and unchanged.
+  std::shared_ptr<const GroundProgram> shared_ground() const { return ground_; }
 
   // Monotone revision counter, bumped by every mutation (AddModule,
   // AddIsa, AddRule, Load, Instantiate). Serving layers (runtime/) key
@@ -177,7 +182,7 @@ class KnowledgeBase {
   // Bumps the revision and drops the lazily cached ground program/models.
   void Invalidate();
   StatusOr<ComponentId> ModuleId(std::string_view name) const;
-  // Parses `literal_text` and resolves it to a ground atom id, if present.
+  // Grounds if needed, then resolves `literal_text` (ResolveGroundLiteral).
   StatusOr<std::optional<GroundLiteral>> ResolveLiteral(
       std::string_view literal_text);
   StatusOr<const Interpretation*> LeastModel(ComponentId module);
@@ -189,7 +194,7 @@ class KnowledgeBase {
   std::shared_ptr<TermPool> pool_;
   uint64_t revision_ = 0;
   OrderedProgram program_;
-  std::optional<GroundProgram> ground_;
+  std::shared_ptr<GroundProgram> ground_;
   std::shared_ptr<const FamilySet> families_;
   std::unordered_map<ComponentId, Interpretation> least_models_;
   std::unordered_map<ComponentId, std::vector<Interpretation>>
@@ -201,6 +206,27 @@ class KnowledgeBase {
   // next LeastModel call; cleared by Invalidate.
   std::unordered_map<ComponentId, Interpretation> warm_seeds_;
 };
+
+// --- query steps shared with the serving layer (runtime/) -------------------
+// Parses `literal_text` (interning into `pool`) and finds its atom in
+// `ground` (nullopt: absent); kInvalidArgument unless the literal is ground.
+StatusOr<std::optional<GroundLiteral>> ResolveGroundLiteral(
+    TermPool& pool, const GroundProgram& ground, std::string_view literal_text);
+// Truth over a view's stable models; an absent (nullopt) literal holds in
+// no model, so never bravely, and cautiously iff there are no models.
+bool HoldsBravely(const std::vector<Interpretation>& models,
+                  const std::optional<GroundLiteral>& literal);
+bool HoldsCautiously(const std::vector<Interpretation>& models,
+                     const std::optional<GroundLiteral>& literal);
+// The explain JSON for a literal that does not occur in the knowledge base.
+std::string UnknownLiteralJson(std::string_view module,
+                               std::string_view literal_text);
+// `model` (possibly over an earlier, smaller atom universe) restricted to
+// predicates outside a mutation's sorted dependency `cone`, sized for
+// `ground`: a subset of the view's new least model, so a warm seed.
+Interpretation RestrictOutsideCone(const Interpretation& model,
+                                   const GroundProgram& ground,
+                                   const std::vector<SymbolId>& cone);
 
 }  // namespace ordlog
 

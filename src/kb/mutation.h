@@ -74,8 +74,9 @@ class Mutation {
 struct MutationReport {
   // KB revision after the batch.
   uint64_t revision = 0;
-  // True when the cached ground program was patched in place by the delta
-  // grounder; false when the batch forced a full invalidation.
+  // True when the cached ground program was patched by the delta grounder
+  // (in place, or a copy while readers held it); false when the batch
+  // forced a full invalidation.
   bool incremental = false;
   // Why the incremental path was not taken (empty when it was).
   std::string fallback_reason;

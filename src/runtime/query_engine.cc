@@ -1,24 +1,25 @@
 #include "runtime/query_engine.h"
 
-#include <algorithm>
 #include <array>
 #include <iomanip>
 #include <sstream>
 #include <thread>
-#include <unordered_set>
 #include <utility>
 
 #include "base/strings.h"
 #include "core/least_model.h"
 #include "core/rule_status.h"
 #include "kb/derivation.h"
-#include "parser/parser.h"
-#include "trace/json.h"
 #include "trace/sink.h"
 
 namespace ordlog {
 
 namespace {
+
+// Slow-query records retained (ring buffer; oldest overwritten), and trace
+// events captured per query for each record (ring buffer).
+constexpr size_t kSlowQueryCapacity = 64;
+constexpr size_t kSlowQueryTraceEvents = 256;
 
 // A query's phase clock. Phases are contiguous: each boundary reads the
 // clock once, and that one reading closes the open phase and opens the
@@ -107,15 +108,14 @@ QueryEngine::QueryEngine(KnowledgeBase& kb, QueryEngineOptions options)
   mutations_ = &registry_
                     .GetCounterFamily(
                         "ordlog_mutations_total",
-                        "KB mutations routed through the engine's "
-                        "writer path.")
+                        "Writer-path calls that changed the KB revision.")
                     .WithLabels();
   snapshots_built_ =
       &registry_
            .GetCounterFamily(
                "ordlog_snapshots_total",
-               "Immutable ground-program snapshots built (reground + "
-               "copy events).")
+               "Immutable snapshots published (each shares the KB's "
+               "ground program, regrounding it first if needed).")
            .WithLabels();
   solver_nodes_ = &registry_
                        .GetCounterFamily(
@@ -247,8 +247,7 @@ QueryEngine::QueryEngine(KnowledgeBase& kb, QueryEngineOptions options)
   });
 
   if (options_.slow_query_threshold.has_value()) {
-    slow_log_ = std::make_unique<SlowQueryLog>(
-        std::max<size_t>(1, options_.slow_query_capacity));
+    slow_log_ = std::make_unique<SlowQueryLog>(kSlowQueryCapacity);
   }
 
   size_t threads = options_.num_threads;
@@ -328,17 +327,22 @@ StatusOr<bool> QueryEngine::QueryCautious(std::string_view module,
 Status QueryEngine::Mutate(
     const std::function<Status(KnowledgeBase&)>& mutation) {
   std::unique_lock<std::shared_mutex> kb_lock(kb_mutex_);
+  snapshot_.reset();
+  const uint64_t old_revision = kb_.revision();
   const Status status = mutation(kb_);
-  mutations_->Increment();
+  if (kb_.revision() != old_revision) mutations_->Increment();
   return status;
 }
 
 StatusOr<MutationReport> QueryEngine::ApplyMutation(
     const Mutation& mutation) {
   std::unique_lock<std::shared_mutex> kb_lock(kb_mutex_);
+  // Without the engine's reference, an idle tenant's ground program is the
+  // KB's alone, and the delta patch runs in place instead of on a copy.
+  snapshot_.reset();
   const uint64_t old_revision = kb_.revision();
   StatusOr<MutationReport> report = kb_.Apply(mutation);
-  mutations_->Increment();
+  if (kb_.revision() != old_revision) mutations_->Increment();
   if (!report.ok()) return report;
 
   if (!report->incremental) {
@@ -352,9 +356,8 @@ StatusOr<MutationReport> QueryEngine::ApplyMutation(
   delta_rules_total_->Increment(report->delta_rules);
   delta_atoms_total_->Increment(report->delta_atoms);
 
-  // The KB's patched ground program is cached (that is what "incremental"
-  // means), so this lookup cannot reground.
-  ORDLOG_ASSIGN_OR_RETURN(const GroundProgram* patched, kb_.ground());
+  // The KB keeps its patched program cached: that is what "incremental" means.
+  const std::shared_ptr<const GroundProgram> patched = kb_.shared_ground();
   const size_t promoted = cache_.Promote(
       old_revision, report->revision, report->affected_views,
       patched->NumAtoms());
@@ -367,21 +370,14 @@ StatusOr<MutationReport> QueryEngine::ApplyMutation(
   // revision's completed least models: the old model restricted to
   // predicates outside the cone is a subset of the new least model, so
   // the fixpoint may resume from it (LeastModelEvaluator::ComputeFrom).
-  std::unordered_set<SymbolId> cone_set(report->cone.begin(),
-                                        report->cone.end());
   std::unordered_map<ComponentId, Interpretation> seeds;
   for (ComponentId view = 0; view < report->affected_views.size(); ++view) {
     if (!report->affected_views.Test(view)) continue;
     const std::shared_ptr<const ModelEntry> old_entry = cache_.Peek(
         ModelCacheKey{old_revision, view, CacheKind::kLeastModel});
     if (old_entry == nullptr) continue;
-    Interpretation seed(patched->NumAtoms());
-    for (const GroundLiteral& literal : old_entry->least_model.Literals()) {
-      if (cone_set.count(patched->atom(literal.atom).predicate) == 0) {
-        seed.Add(literal);
-      }
-    }
-    seeds.emplace(view, std::move(seed));
+    seeds.emplace(view, RestrictOutsideCone(old_entry->least_model, *patched,
+                                            report->cone));
   }
   {
     std::lock_guard<std::mutex> warm_lock(warm_mutex_);
@@ -479,27 +475,24 @@ QueryEngine::AcquireSnapshot(const CancelToken& cancel, SpanContext* span,
                              QueryWork* work) {
   {
     std::shared_lock<std::shared_mutex> kb_lock(kb_mutex_);
-    std::lock_guard<std::mutex> lock(snapshot_mutex_);
     if (snapshot_ != nullptr && snapshot_->revision == kb_.revision()) {
       return snapshot_;
     }
   }
   // Refresh: reground under the writer lock (grounding mutates the KB's
-  // lazy state) and publish an immutable copy.
+  // lazy state) and publish a snapshot sharing the KB's program.
   ORDLOG_RETURN_IF_ERROR(cancel.Check());
   std::unique_lock<std::shared_mutex> kb_lock(kb_mutex_);
-  std::lock_guard<std::mutex> lock(snapshot_mutex_);
   if (snapshot_ != nullptr && snapshot_->revision == kb_.revision()) {
     return snapshot_;
   }
+  snapshot_.reset();  // a reground never holds the old program beside it
   ScopedSpan ground_span =
       span != nullptr ? span->StartSpan("ground") : ScopedSpan();
   GroundStats ground_stats;
-  ORDLOG_ASSIGN_OR_RETURN(const GroundProgram* ground,
-                          kb_.ground(&cancel, &ground_stats));
-  auto snapshot = std::make_shared<const Snapshot>(kb_.revision(), *ground,
-                                                   kb_.families());
-  snapshot_ = snapshot;
+  ORDLOG_RETURN_IF_ERROR(kb_.ground(&cancel, &ground_stats).status());
+  snapshot_ = std::make_shared<const Snapshot>(
+      Snapshot{kb_.revision(), kb_.shared_ground(), kb_.families()});
   ground_rules_family_->WithLabels("emitted")
       .Increment(ground_stats.rules_emitted);
   ground_rules_family_->WithLabels("matched")
@@ -519,8 +512,8 @@ QueryEngine::AcquireSnapshot(const CancelToken& cancel, SpanContext* span,
     work->index_probes += ground_stats.index_probes;
   }
   snapshots_built_->Increment();
-  cache_.EvictStale(snapshot->revision);
-  return snapshot;
+  cache_.EvictStale(snapshot_->revision);
+  return snapshot_;
 }
 
 StatusOr<ComponentId> QueryEngine::ResolveModule(const Snapshot& snapshot,
@@ -529,30 +522,10 @@ StatusOr<ComponentId> QueryEngine::ResolveModule(const Snapshot& snapshot,
   // added by a concurrent mutation is invisible until the next refresh —
   // consistent with the answer's revision stamp.
   for (ComponentId c = 0;
-       c < static_cast<ComponentId>(snapshot.ground.NumComponents()); ++c) {
-    if (snapshot.ground.component_name(c) == module) return c;
+       c < static_cast<ComponentId>(snapshot.ground->NumComponents()); ++c) {
+    if (snapshot.ground->component_name(c) == module) return c;
   }
   return NotFoundError(StrCat("unknown module '", module, "'"));
-}
-
-StatusOr<std::optional<GroundLiteral>> QueryEngine::ResolveLiteral(
-    const Snapshot& snapshot, std::string_view literal_text) {
-  // Parsing interns into the KB's shared TermPool: exclude mutations via
-  // the reader lock and serialize sibling queries via parse_mutex_.
-  std::shared_lock<std::shared_mutex> kb_lock(kb_mutex_);
-  std::lock_guard<std::mutex> parse_lock(parse_mutex_);
-  TermPool& pool = *kb_.shared_pool();
-  ORDLOG_ASSIGN_OR_RETURN(const Literal literal,
-                          ParseLiteral(literal_text, pool));
-  if (!literal.IsGround(pool)) {
-    return InvalidArgumentError(
-        StrCat("query literal '", literal_text, "' must be ground"));
-  }
-  const std::optional<GroundAtomId> atom =
-      snapshot.ground.FindAtom(literal.atom);
-  if (!atom.has_value()) return std::optional<GroundLiteral>();
-  return std::optional<GroundLiteral>(
-      GroundLiteral{*atom, literal.positive});
 }
 
 StatusOr<ModelCache::Lookup> QueryEngine::LeastModelFor(
@@ -568,7 +541,7 @@ StatusOr<ModelCache::Lookup> QueryEngine::LeastModelFor(
         ScopedSpan eval_span =
             span != nullptr ? span->StartSpan("eval") : ScopedSpan();
         LeastModelEvaluator evaluator(snapshot->families.get(),
-                                      snapshot->ground, view, options_.eval);
+                                      *snapshot->ground, view, options_.eval);
         evaluator.set_trace(trace);
         // Warm start: a seed parked by ApplyMutation for this revision
         // resumes the fixpoint from the unaffected part of the previous
@@ -622,15 +595,15 @@ StatusOr<ModelCache::Lookup> QueryEngine::LeastModelFor(
         // once per (revision, view) — cache hits skip it — off the hot
         // path of the fixpoint itself.
         const RuleStatusCounts counts =
-            CountRuleStatuses(snapshot->ground, view, model);
+            CountRuleStatuses(*snapshot->ground, view, model);
         for (size_t s = 0; s < counts.by_status.size(); ++s) {
           if (counts.by_status[s] == 0) continue;
           rule_status_family_
-              ->WithLabels(snapshot->ground.component_name(view),
+              ->WithLabels(snapshot->ground->component_name(view),
                            RuleStatusCodeName(static_cast<RuleStatusCode>(s)))
               .Increment(counts.by_status[s]);
         }
-        EmitRuleStatuses(snapshot->ground, view, model, trace);
+        EmitRuleStatuses(*snapshot->ground, view, model, trace);
         ModelEntry entry;
         entry.least_model = std::move(model);
         return entry;
@@ -669,7 +642,7 @@ StatusOr<ModelCache::Lookup> QueryEngine::StableModelsFor(
         // not forfeit parallelism).
         solver_options.executor =
             options_.trace == nullptr ? pool_.get() : nullptr;
-        StableModelSolver solver(snapshot->ground, view,
+        StableModelSolver solver(*snapshot->ground, view,
                                  prefix.entry->least_model, solver_options);
         StableSolverStats stats;
         StatusOr<std::vector<Interpretation>> models =
@@ -689,7 +662,7 @@ StatusOr<ModelCache::Lookup> QueryEngine::StableModelsFor(
         for (const auto& [event_name, count] : search_events) {
           if (count == 0) continue;
           solver_search_family_
-              ->WithLabels(snapshot->ground.component_name(view), event_name)
+              ->WithLabels(snapshot->ground->component_name(view), event_name)
               .Increment(count);
         }
         if (search_span.active()) {
@@ -741,7 +714,7 @@ StatusOr<QueryAnswer> QueryEngine::Run(const QueryRequest& request) {
   std::optional<TeeSink> tee;
   TraceSink* trace = options_.trace;
   if (slow_log_ != nullptr) {
-    capture.emplace(std::max<size_t>(1, options_.slow_query_trace_events));
+    capture.emplace(kSlowQueryTraceEvents);
     tee.emplace(options_.trace, &*capture);
     trace = &*tee;
   }
@@ -768,8 +741,13 @@ StatusOr<QueryAnswer> QueryEngine::Run(const QueryRequest& request) {
                             ResolveModule(*snapshot, request.module));
     std::optional<GroundLiteral> literal;
     if (request.mode != QueryMode::kCountModels) {
-      ORDLOG_ASSIGN_OR_RETURN(literal,
-                              ResolveLiteral(*snapshot, request.literal));
+      // Parsing interns into the KB's shared TermPool: exclude mutations
+      // via the reader lock and serialize sibling queries via parse_mutex_.
+      std::shared_lock<std::shared_mutex> kb_lock(kb_mutex_);
+      std::lock_guard<std::mutex> parse_lock(parse_mutex_);
+      ORDLOG_ASSIGN_OR_RETURN(
+          literal, ResolveGroundLiteral(*kb_.shared_pool(), *snapshot->ground,
+                                        request.literal));
     }
     phases.Enter(QueryPhaseCode::kSolve);
 
@@ -804,29 +782,9 @@ StatusOr<QueryAnswer> QueryEngine::Run(const QueryRequest& request) {
             lookup.entry->stable_models;
         answer.model_count = models.size();
         if (request.mode == QueryMode::kBrave) {
-          answer.holds = false;
-          if (literal.has_value()) {
-            for (const Interpretation& model : models) {
-              if (model.Contains(*literal)) {
-                answer.holds = true;
-                break;
-              }
-            }
-          }
+          answer.holds = HoldsBravely(models, literal);
         } else if (request.mode == QueryMode::kCautious) {
-          // Mirrors KnowledgeBase::CautiouslyHolds: a literal absent from
-          // the ground universe holds cautiously iff there are no models.
-          if (!literal.has_value()) {
-            answer.holds = models.empty();
-          } else {
-            answer.holds = true;
-            for (const Interpretation& model : models) {
-              if (!model.Contains(*literal)) {
-                answer.holds = false;
-                break;
-              }
-            }
-          }
+          answer.holds = HoldsCautiously(models, literal);
         }
         break;
       }
@@ -836,15 +794,13 @@ StatusOr<QueryAnswer> QueryEngine::Run(const QueryRequest& request) {
       phases.Enter(QueryPhaseCode::kExplain);
       if (!literal.has_value()) {
         answer.explanation =
-            StrCat("{\"query\":", JsonQuote(request.literal),
-                   ",\"module\":", JsonQuote(request.module),
-                   ",\"truth\":\"undefined\",\"unknown\":true}");
+            UnknownLiteralJson(request.module, request.literal);
       } else {
         // Rendering rule/atom names reads the KB's shared TermPool (the
         // snapshot's ground program borrows it), so like literal parsing
         // this must exclude concurrent mutations via the reader lock.
         std::shared_lock<std::shared_mutex> kb_lock(kb_mutex_);
-        DerivationBuilder builder(snapshot->ground, view,
+        DerivationBuilder builder(*snapshot->ground, view,
                                   skeptical_lookup.entry->least_model);
         answer.explanation = builder.ToJson(*literal);
       }

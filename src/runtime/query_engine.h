@@ -57,10 +57,11 @@ struct QueryEngineOptions {
   // `solver.parallel_min_branch` are honored; set search_threads = 1 to
   // force sequential search throughout.
   StableSolverOptions solver;
-  // Least-model engine selection (docs/EVALUATION.md): semi-naive
-  // set-at-a-time rounds (the default) or the event-driven worklist.
-  // Both produce the identical model; the worklist is kept as the
-  // differential oracle and ablation baseline.
+  // Least-model engine selection (docs/EVALUATION.md): semi-naive rounds
+  // (the default), fused joins over the KB's rule families (semi-naive
+  // where a view's families are not expressible), or the event-driven
+  // worklist, kept as the differential oracle and ablation baseline. All
+  // produce the identical model.
   EvalOptions eval;
   ModelCacheOptions cache;
   // Structured trace sink (not owned; null = tracing off, the default).
@@ -79,12 +80,9 @@ struct QueryEngineOptions {
   int statsz_port = -1;
   // When set, every finished query whose wall time is >= the threshold is
   // recorded in the slow-query log (0 records every query — useful for
-  // demos and tests); nullopt (default) disables the log entirely.
+  // demos and tests); nullopt (default) disables the log entirely. The
+  // log keeps the last 64 records, each with up to 256 trace events.
   std::optional<std::chrono::microseconds> slow_query_threshold;
-  // Slow-query records retained (ring buffer; oldest overwritten).
-  size_t slow_query_capacity = 64;
-  // Trace events captured per query for slow-query records (ring buffer).
-  size_t slow_query_trace_events = 256;
   // Multi-tenant embedders (src/server/) set the owning tenant's name
   // here; it is stamped onto every SlowQueryRecord this engine emits.
   // Empty (the default) leaves single-tenant output unchanged.
@@ -173,7 +171,7 @@ struct MetricsSnapshot {
   uint64_t cache_misses = 0;
   uint64_t cache_coalesced = 0;
   uint64_t mutations = 0;
-  uint64_t snapshots_built = 0;   // KB reground+copy events
+  uint64_t snapshots_built = 0;   // snapshots published
   uint64_t solver_nodes = 0;      // cumulative stable-search nodes
   uint64_t latency_count = 0;
   uint64_t latency_p50_us = 0;
@@ -203,8 +201,8 @@ struct MetricsSnapshot {
 //   * a fixed thread pool executing queries concurrently (Submit),
 //   * per-query deadlines and cooperative cancellation, threaded into the
 //     solver / least-model hot loops via CancelToken,
-//   * an immutable per-revision ground-program snapshot, so queries never
-//     race the KB's lazy grounding, and
+//   * an immutable per-revision snapshot sharing the KB's ground program,
+//     so queries never race the KB's lazy grounding or delta patches, and
 //   * a generation-keyed ModelCache with single-flight coalescing.
 //
 // Concurrency contract: route ALL mutations of the underlying KB through
@@ -241,9 +239,11 @@ class QueryEngine {
   StatusOr<bool> QueryCautious(std::string_view module,
                                std::string_view literal);
 
-  // Runs `mutation` against the KB under the writer lock. The KB bumps its
-  // revision internally; stale cache entries are swept on the next
-  // snapshot refresh.
+  // Runs `mutation` against the KB under the writer lock, after releasing
+  // the engine's cached snapshot (queries still running keep theirs). The
+  // KB bumps its revision internally; stale cache entries are swept on the
+  // next snapshot refresh. ordlog_mutations_total counts the call only if
+  // the revision changed, so read-only callbacks are not mutations.
   Status Mutate(const std::function<Status(KnowledgeBase&)>& mutation);
 
   // Applies a structured mutation batch (KnowledgeBase::Apply) under the
@@ -287,33 +287,27 @@ class QueryEngine {
   Status statsz_status() const { return statsz_status_; }
 
  private:
-  // Immutable view of the KB at one revision. Queries compute against the
-  // copied ground program, so a concurrent mutation (which regrounds the
-  // KB) can never invalidate memory under a running solver.
+  // Immutable view of the KB at one revision. The ground program is the
+  // KB's own, shared: a mutation never changes one a snapshot holds
+  // (KnowledgeBase::Apply patches a copy), so a running solver is safe.
   struct Snapshot {
     uint64_t revision = 0;
-    GroundProgram ground;
+    std::shared_ptr<const GroundProgram> ground;
     // The KB's rule families as of this revision, for the fused
     // evaluation strategy (null when the grounder configuration is
     // incompatible; the evaluator then falls back to semi-naive).
     // Shared with the KB — FamilySet is immutable and pool-free, so it
     // is safe under concurrent regrounds.
     std::shared_ptr<const FamilySet> families;
-    Snapshot(uint64_t r, GroundProgram g,
-             std::shared_ptr<const FamilySet> f)
-        : revision(r), ground(std::move(g)), families(std::move(f)) {}
   };
 
   // `span` / `work` (both may be null) receive a "ground" child span and
   // the grounder's work counters when this call refreshes the snapshot.
   StatusOr<std::shared_ptr<const Snapshot>> AcquireSnapshot(
       const CancelToken& cancel, SpanContext* span, QueryWork* work);
-  // Module + literal resolution against the snapshot (serialized: parsing
-  // interns into the shared TermPool).
+  // Module resolution against the snapshot's component names.
   StatusOr<ComponentId> ResolveModule(const Snapshot& snapshot,
                                       std::string_view module);
-  StatusOr<std::optional<GroundLiteral>> ResolveLiteral(
-      const Snapshot& snapshot, std::string_view literal);
 
   StatusOr<QueryAnswer> Run(const QueryRequest& request);
   // `trace` is the per-query sink (the caller's sink, possibly teed into
@@ -333,11 +327,11 @@ class QueryEngine {
   KnowledgeBase& kb_;
   const QueryEngineOptions options_;
 
-  // Lock order (outer to inner): kb_mutex_ -> snapshot_mutex_ /
-  // parse_mutex_. The cache, registry, tracer, and slow log have their
-  // own internal locking and are never held across engine locks.
+  // Lock order (outer to inner): kb_mutex_ -> parse_mutex_. snapshot_ is
+  // read under either mode of kb_mutex_ and written only under its unique
+  // mode. The cache, registry, tracer, and slow log have their own
+  // internal locking and are never held across engine locks.
   mutable std::shared_mutex kb_mutex_;
-  std::mutex snapshot_mutex_;
   std::mutex parse_mutex_;
   std::shared_ptr<const Snapshot> snapshot_;
 

@@ -207,6 +207,40 @@ TEST(KnowledgeBaseTest, DuplicateModuleRejected) {
   EXPECT_FALSE(kb.HasModule("n"));
 }
 
+TEST(KnowledgeBaseTest, DeltaApplyNeverPatchesAHeldGroundProgram) {
+  KnowledgeBase kb;
+  ASSERT_TRUE(kb.Load("component m { p(a). q(X) :- p(X). }").ok());
+  ASSERT_TRUE(kb.ground().ok());
+
+  // A reader holds revision N's program across a delta batch: it keeps
+  // N's instances, and the KB moves on to a patched copy.
+  const std::shared_ptr<const GroundProgram> held = kb.shared_ground();
+  ASSERT_NE(held, nullptr);
+  const size_t held_rules = held->NumRules();
+  const size_t held_atoms = held->NumAtoms();
+  StatusOr<MutationReport> report = kb.Apply(Mutation().AddFact("m", "p(b)"));
+  ASSERT_TRUE(report.ok()) << report.status();
+  ASSERT_TRUE(report->incremental) << report->fallback_reason;
+  EXPECT_EQ(held->NumRules(), held_rules);
+  EXPECT_EQ(held->NumAtoms(), held_atoms);
+  const StatusOr<const GroundProgram*> patched = kb.ground();
+  ASSERT_TRUE(patched.ok());
+  EXPECT_NE(*patched, held.get());
+  EXPECT_GT((*patched)->NumRules(), held_rules);
+  EXPECT_GT((*patched)->NumAtoms(), held_atoms);
+  EXPECT_EQ(kb.Query("m", "q(b)").value(), TruthValue::kTrue);
+
+  // With no outside holder, the next batch patches the program in place.
+  const GroundProgram* sole = *patched;
+  const size_t sole_rules = sole->NumRules();
+  report = kb.Apply(Mutation().AddFact("m", "p(c)"));
+  ASSERT_TRUE(report.ok()) << report.status();
+  ASSERT_TRUE(report->incremental) << report->fallback_reason;
+  EXPECT_EQ(kb.ground().value(), sole);
+  EXPECT_GT(sole->NumRules(), sole_rules);
+  EXPECT_EQ(kb.Query("m", "q(c)").value(), TruthValue::kTrue);
+}
+
 TEST(KnowledgeBaseTest, IsaCycleSurfacesAtQueryTime) {
   KnowledgeBase kb;
   ASSERT_TRUE(kb.AddModule("a").ok());

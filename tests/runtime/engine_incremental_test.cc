@@ -1,15 +1,19 @@
 // QueryEngine::ApplyMutation: cache promotion for unaffected views,
 // warm-started fixpoints for affected ones, the reuse metrics, and
-// mutations racing in-flight queries (cancellation + single-flight).
+// mutations racing in-flight queries (cancellation + single-flight, and a
+// query that keeps its revision's shared ground program across a patch).
 
 #include "runtime/query_engine.h"
 
+#include <atomic>
 #include <chrono>
 #include <future>
+#include <latch>
 #include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "trace/sink.h"
 
 namespace ordlog {
 namespace {
@@ -28,6 +32,25 @@ QueryRequest Request(std::string module, std::string literal) {
   request.literal = std::move(literal);
   return request;
 }
+
+// Parks the first fixpoint round that reaches it until Release().
+class GateSink final : public TraceSink {
+ public:
+  void Emit(const TraceEvent& event) override {
+    if (event.kind != TraceEventKind::kFixpointRound) return;
+    if (armed_.exchange(false)) {
+      entered_.count_down();
+      released_.wait();
+    }
+  }
+  void AwaitEntered() { entered_.wait(); }
+  void Release() { released_.count_down(); }
+
+ private:
+  std::atomic<bool> armed_{true};
+  std::latch entered_{1};
+  std::latch released_{1};
+};
 
 uint64_t ReuseCount(QueryEngine& engine, std::string_view kind) {
   return engine.Registry()
@@ -274,6 +297,46 @@ TEST(EngineIncrementalTest, MutationDuringInFlightQueries) {
   EXPECT_EQ(after->truth, TruthValue::kTrue);
   EXPECT_EQ(after->revision, report->revision);
   EXPECT_EQ(engine.revision(), report->revision);
+}
+
+TEST(EngineIncrementalTest, InFlightQueryAnswersAtItsRevisionAcrossAPatch) {
+  KnowledgeBase kb;
+  // `b` is in the universe, so q(b) is a ground atom at every revision:
+  // undefined until p(b) is asserted.
+  ASSERT_TRUE(kb.Load("component m { p(a). r(b). q(X) :- p(X). }").ok());
+  GateSink gate;
+  QueryEngineOptions options = Threads(2);
+  options.trace = &gate;
+  QueryEngine engine(kb, options);
+  const uint64_t revision_n = engine.revision();
+
+  // A cache miss at revision N, parked inside its fixpoint while it holds
+  // N's ground program.
+  std::future<StatusOr<QueryAnswer>> in_flight =
+      engine.Submit(Request("m", "q(b)"));
+  gate.AwaitEntered();
+  const GroundProgram* program_n = kb.shared_ground().get();
+  ASSERT_NE(program_n, nullptr);
+  const size_t rules_n = program_n->NumRules();
+
+  const StatusOr<MutationReport> report =
+      engine.ApplyMutation(Mutation().AddFact("m", "p(b)"));
+  ASSERT_TRUE(report.ok()) << report.status();
+  ASSERT_TRUE(report->incremental) << report->fallback_reason;
+  // The held program was copied, not patched.
+  EXPECT_NE(kb.shared_ground().get(), program_n);
+  EXPECT_EQ(program_n->NumRules(), rules_n);
+
+  gate.Release();
+  const StatusOr<QueryAnswer> old_answer = in_flight.get();
+  ASSERT_TRUE(old_answer.ok()) << old_answer.status();
+  EXPECT_EQ(old_answer->revision, revision_n);
+  EXPECT_EQ(old_answer->truth, TruthValue::kUndefined);
+
+  const StatusOr<QueryAnswer> new_answer = engine.Execute(Request("m", "q(b)"));
+  ASSERT_TRUE(new_answer.ok()) << new_answer.status();
+  EXPECT_EQ(new_answer->revision, report->revision);
+  EXPECT_EQ(new_answer->truth, TruthValue::kTrue);
 }
 
 }  // namespace

@@ -356,6 +356,29 @@ TEST_F(KbServerTest, FactsAndStatusEndpoints) {
   EXPECT_TRUE(Contains(response.body, "\"inflight\":0"));
 }
 
+TEST_F(KbServerTest, MutationsCountOnlyRevisionChanges) {
+  KbServer server(Options());
+  ASSERT_EQ(server.Handle(Post("/v1/admin/create", "{\"tenant\":\"zoo\"}"))
+                .code,
+            200);
+  // One durable request, two revision changes: the module, then the fact
+  // batch. Its snapshot-rotation check reads the KB and changes nothing.
+  const HttpResponse mutated = server.Handle(Post(
+      "/v1/zoo/mutate", R"json({"ops":[
+           {"op":"add_module","module":"m"},
+           {"op":"add_fact","module":"m","text":"p(a)"}
+         ]})json"));
+  ASSERT_EQ(mutated.code, 200) << mutated.body;
+  // /facts reads run on the engine's writer path too; they are not
+  // mutations either.
+  ASSERT_EQ(server.Handle(Get("/v1/zoo/facts", "module=m")).code, 200);
+  ASSERT_EQ(server.Handle(Get("/v1/zoo/facts")).code, 200);
+
+  StatusOr<TenantLease> lease = server.registry().Acquire("zoo");
+  ASSERT_TRUE(lease.ok()) << lease.status();
+  EXPECT_EQ((*lease)->engine->Metrics().mutations, 2u);
+}
+
 TEST_F(KbServerTest, TenantMetricsAndSlowLogBypassAdmission) {
   KbServerOptions options = Options();
   options.admission.tenant_max_inflight = 1;
