@@ -24,8 +24,6 @@
 #include "core/least_model.h"
 #include "core/v_operator.h"
 #include "eval/evaluator.h"
-#include "eval/fused.h"
-#include "ground/families.h"
 #include "ground/grounder.h"
 #include "parser/parser.h"
 #include "transform/versions.h"
@@ -93,50 +91,8 @@ void StrategyBench(benchmark::State& state, const GroundProgram& ground,
   state.counters["rounds"] = static_cast<double>(stats.rounds);
   state.counters["delta_tuples"] = static_cast<double>(stats.delta_tuples);
   // Ground rule instances the timed engine iterates over (the grounding
-  // itself runs in untimed setup). The fused series reports 0 here.
+  // itself runs in untimed setup).
   state.counters["ground_rules"] = static_cast<double>(ground.NumRules());
-}
-
-// The grounding-fused series: the timed loop compiles the view's rule
-// families into join plans and runs the fixpoint directly over the
-// non-ground program — no ground rule instantiation anywhere on the
-// timed path (`ground_rules` = 0). A ground program IS built in untimed
-// setup, but only to serve as the identity oracle against the worklist
-// engine.
-void FusedBench(benchmark::State& state, ordlog::OrderedProgram& program,
-                const ordlog::GroundProgram& ground,
-                ordlog::ComponentId view) {
-  const ordlog::FamilySet families = ordlog::FamilySet::Extract(program);
-  if (!families.eligible()) {
-    state.SkipWithError(families.ineligible_reason().c_str());
-    return;
-  }
-  const ordlog::Interpretation reference = ComputeLeastModel(ground, view);
-  ordlog::FusedEvaluator checker(families, view);
-  const auto model = checker.Compute(ground, nullptr);
-  state.counters["identical"] =
-      (model.ok() && *model == reference) ? 1.0 : 0.0;
-  for (auto _ : state) {
-    ordlog::FusedEvaluator evaluator(families, view);
-    const auto size = evaluator.ComputeStandalone(nullptr);
-    if (!size.ok()) {
-      state.SkipWithError(size.status().ToString().c_str());
-      return;
-    }
-    benchmark::DoNotOptimize(size.value());
-  }
-  state.counters["model_size"] =
-      static_cast<double>(reference.NumAssigned());
-  const ordlog::EvalStats stats = checker.last_stats();
-  state.counters["rounds"] = static_cast<double>(stats.rounds);
-  state.counters["delta_tuples"] = static_cast<double>(stats.delta_tuples);
-  state.counters["ground_rules"] = 0.0;
-}
-
-ordlog::OrderedProgram MustParse(const std::string& source) {
-  auto parsed = ParseProgram(source);
-  if (!parsed.ok()) std::abort();
-  return std::move(parsed).value();
 }
 
 void BM_Ablation_RoundBased_Chain(benchmark::State& state) {
@@ -220,10 +176,8 @@ BENCHMARK(BM_Ablation_SemiNaive_LoanGrid)->Arg(64)->Arg(256);
 
 // Deep recursion: the TcChain least model is O(n^2) tc tuples reached
 // over n rounds, but its ground instantiation carries O(n^3) candidate
-// instances of the recursive rule. The semi-naive series pays for them
-// on every computation; the fused series joins over the non-ground
-// rules and never materializes them — this is the pair the regression
-// gate holds to a minimum speedup (scripts/check_eval_regression.py).
+// instances of the recursive rule, which both ground engines walk on
+// every computation.
 void BM_Ablation_SemiNaive_TcChain(benchmark::State& state) {
   GroundProgram ground =
       MustGround(ordlog_bench::TcChain(static_cast<int>(state.range(0))));
@@ -238,43 +192,11 @@ void BM_Ablation_Worklist_TcChain(benchmark::State& state) {
 }
 BENCHMARK(BM_Ablation_Worklist_TcChain)->Arg(32)->Arg(64);
 
-void BM_Ablation_Fused_TcChain(benchmark::State& state) {
-  ordlog::OrderedProgram program =
-      MustParse(ordlog_bench::TcChain(static_cast<int>(state.range(0))));
-  auto ground = Grounder::Ground(program);
-  if (!ground.ok()) std::abort();
-  FusedBench(state, program, *ground, 0);
-}
-BENCHMARK(BM_Ablation_Fused_TcChain)->Arg(32)->Arg(64);
-
-void BM_Ablation_Fused_Chain(benchmark::State& state) {
-  ordlog::OrderedProgram program =
-      MustParse(ordlog_bench::Chain(static_cast<int>(state.range(0))));
-  auto ground = Grounder::Ground(program);
-  if (!ground.ok()) std::abort();
-  FusedBench(state, program, *ground, 0);
-}
-BENCHMARK(BM_Ablation_Fused_Chain)->Arg(32)->Arg(128)->Arg(512);
-
-void BM_Ablation_Fused_Ancestor(benchmark::State& state) {
-  auto parsed = ParseProgram(
-      ordlog_bench::AncestorChain(static_cast<int>(state.range(0))));
-  if (!parsed.ok()) std::abort();
-  auto version = ordlog::OrderedVersion(parsed->component(0),
-                                        parsed->shared_pool());
-  if (!version.ok()) std::abort();
-  auto ground = Grounder::Ground(*version);
-  if (!ground.ok()) std::abort();
-  FusedBench(state, *version, *ground, ordlog::kQueryComponent);
-}
-BENCHMARK(BM_Ablation_Fused_Ancestor)->Arg(8)->Arg(16)->Arg(24);
-
 // Maps --strategy=<name> to the series prefix it selects.
 const char* SeriesFilter(const std::string& strategy) {
   if (strategy == "round") return "BM_Ablation_RoundBased_";
   if (strategy == "worklist") return "BM_Ablation_Worklist_";
   if (strategy == "semi_naive") return "BM_Ablation_SemiNaive_";
-  if (strategy == "fused") return "BM_Ablation_Fused_";
   return nullptr;
 }
 
@@ -306,7 +228,7 @@ int main(int argc, char** argv) {
     const char* filter = SeriesFilter(*it + 11);
     if (filter == nullptr) {
       std::cerr
-          << "unknown --strategy (want round|worklist|semi_naive|fused)\n";
+          << "unknown --strategy (want round|worklist|semi_naive)\n";
       return 1;
     }
     filter_arg = std::string("--benchmark_filter=") + filter;

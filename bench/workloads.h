@@ -106,9 +106,8 @@ inline std::string AncestorChain(int n) {
 // Deep-recursion transitive closure over an `n`-node edge chain, in one
 // component with non-ground rules. The recursion runs n rounds deep and
 // the least model holds O(n^2) tc tuples, while a ground instantiation
-// of the recursive rule materializes O(n^3) candidate instances — the
-// workload that separates grounding-fused join evaluation (which never
-// builds them) from evaluation over a pre-grounded program.
+// of the recursive rule materializes O(n^3) candidate instances, which
+// every engine over a pre-grounded program pays for.
 inline std::string TcChain(int n) {
   std::ostringstream out;
   out << "component c {\n";

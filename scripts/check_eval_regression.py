@@ -2,19 +2,16 @@
 """Least-model evaluation gate over the bench_ablation JSON report.
 
 Reads build/BENCH_ablation_least_model.json (written by scripts/check.sh)
-and checks the RoundBased/Worklist/SemiNaive/Fused series emitted by
+and checks the RoundBased/Worklist/SemiNaive series emitted by
 bench/bench_ablation_least_model.cc:
 
- * identity: every Worklist, SemiNaive, and Fused row must report
-   identical=1 (a full model comparison against the oracle, done at
-   bench setup) and matching model_size across the engines;
- * the semi-naive property, deterministically: on SemiNaive and Fused
-   rows, delta_tuples == model_size — every derived literal is
-   committed into exactly one round's delta and never rescanned (a
-   naive evaluator reprocesses the whole interpretation every round);
- * grounding fusion, deterministically: Fused rows must report
-   ground_rules=0 — the fused engine joins over the non-ground rule
-   families directly and never materializes a ground instantiation;
+ * identity: every Worklist and SemiNaive row must report identical=1 (a
+   full model comparison against the oracle, done at bench setup) and
+   matching model_size across the engines;
+ * the semi-naive property, deterministically: on SemiNaive rows,
+   delta_tuples == model_size — every derived literal is committed into
+   exactly one round's delta and never rescanned (a naive evaluator
+   reprocesses the whole interpretation every round);
  * wall-time wins, with generous noise margins below the measured ratios:
      - chain_512 (deep recursion, ~512 rounds): semi-naive must beat the
        round-based naive V sweep >= 3x (measured ~50-80x — this is the
@@ -27,19 +24,11 @@ bench/bench_ablation_least_model.cc:
        measured ~1.3x). The grid reaches fixpoint in ~3 rounds, so both
        engines are dominated by per-view wiring rather than rule
        re-evaluation; the delta machinery cannot buy more there, and the
-       gate encodes the measured win, not the aspirational one;
-     - tc_chain_64 (transitive closure over a 64-node chain: O(n^2)
-       derived tuples but O(n^3) ground rule instances): the
-       grounding-fused engine must beat ground semi-naive >=
-       ORDLOG_FUSED_MIN_SPEEDUP (default 5.0, measured ~8x — the win is
-       asymptotic, because the ground engines pay for every edge(X,Y),
-       tc(Y,Z) instantiation while the fused join only touches tuples
-       that exist).
+       gate encodes the measured win, not the aspirational one.
 
 Wall time is noisy on shared runners; the margins above are roughly half
 the locally measured ratios. ORDLOG_EVAL_MIN_SPEEDUP raises (or lowers)
-the loan-grid bar and ORDLOG_FUSED_MIN_SPEEDUP the fused bar for quiet
-machines.
+the loan-grid bar for quiet machines.
 """
 
 import json
@@ -55,12 +44,10 @@ PREFIX = "BM_Ablation_"
 MIN_NAIVE_SPEEDUP = 3.0     # chain_512: semi-naive vs round-based naive V
 MIN_JOIN_SPEEDUP = 1.4      # ancestor_16: semi-naive vs worklist
 MIN_GRID_SPEEDUP = float(os.environ.get("ORDLOG_EVAL_MIN_SPEEDUP", "1.1"))
-MIN_FUSED_SPEEDUP = float(os.environ.get("ORDLOG_FUSED_MIN_SPEEDUP", "5.0"))
 GATES = (
     ("Chain/512", "RoundBased", "SemiNaive", MIN_NAIVE_SPEEDUP),
     ("Ancestor/16", "Worklist", "SemiNaive", MIN_JOIN_SPEEDUP),
     ("LoanGrid/256", "Worklist", "SemiNaive", MIN_GRID_SPEEDUP),
-    ("TcChain/64", "SemiNaive", "Fused", MIN_FUSED_SPEEDUP),
 )
 
 
@@ -85,9 +72,9 @@ def main():
     problems = []
     checked = 0
     for workload, by_series in sorted(rows.items()):
-        present = [by_series[s] for s in ("Worklist", "SemiNaive", "Fused")
+        present = [by_series[s] for s in ("Worklist", "SemiNaive")
                    if s in by_series]
-        for series in ("Worklist", "SemiNaive", "Fused"):
+        for series in ("Worklist", "SemiNaive"):
             bench = by_series.get(series)
             if bench is None:
                 continue
@@ -99,22 +86,14 @@ def main():
         if len(sizes) > 1:
             problems.append("%s: model sizes diverge across engines (%s)"
                             % (workload, sorted(sizes)))
-        for series in ("SemiNaive", "Fused"):
-            bench = by_series.get(series)
-            if bench is None:
-                continue
-            if bench.get("delta_tuples") != bench.get("model_size"):
-                problems.append(
-                    "%s/%s: committed %s delta tuples for a %s-literal "
-                    "model (tuples must be committed exactly once)"
-                    % (series, workload, bench.get("delta_tuples"),
-                       bench.get("model_size")))
-        fused = by_series.get("Fused")
-        if fused is not None and fused.get("ground_rules") != 0.0:
+        bench = by_series.get("SemiNaive")
+        if (bench is not None
+                and bench.get("delta_tuples") != bench.get("model_size")):
             problems.append(
-                "Fused/%s: reported %s ground rules (the fused engine "
-                "must never materialize a ground instantiation)"
-                % (workload, fused.get("ground_rules")))
+                "SemiNaive/%s: committed %s delta tuples for a %s-literal "
+                "model (tuples must be committed exactly once)"
+                % (workload, bench.get("delta_tuples"),
+                   bench.get("model_size")))
 
     for workload, baseline_series, target_series, min_speedup in GATES:
         by_series = rows.get(workload, {})
@@ -135,7 +114,7 @@ def main():
                    min_speedup))
 
     if checked == 0:
-        problems.append("no Worklist/SemiNaive/Fused rows found in %s"
+        problems.append("no Worklist/SemiNaive rows found in %s"
                         % REPORT)
     if problems:
         fail("; ".join(problems))

@@ -3,103 +3,7 @@
 #include <algorithm>
 #include <numeric>
 
-#include "base/logging.h"
-
 namespace ordlog {
-
-int PredicateTable::CompareRow(size_t row, const std::vector<TermId>& args,
-                               size_t num_cols) const {
-  for (size_t col = 0; col < num_cols; ++col) {
-    const TermId lhs = columns_[col][row];
-    const TermId rhs = args[col];
-    if (lhs < rhs) return -1;
-    if (lhs > rhs) return 1;
-  }
-  return 0;
-}
-
-bool PredicateTable::Contains(const std::vector<TermId>& args) const {
-  return FindRow(args).has_value();
-}
-
-std::optional<size_t> PredicateTable::FindRow(
-    const std::vector<TermId>& args) const {
-  ORDLOG_DCHECK(args.size() == arity()) << "probe arity mismatch";
-  const auto [first, last] = EqualRange(args);
-  if (first == last) return std::nullopt;
-  return first;
-}
-
-std::pair<size_t, size_t> PredicateTable::EqualRange(
-    const std::vector<TermId>& prefix) const {
-  ORDLOG_DCHECK(prefix.size() <= arity()) << "probe prefix too wide";
-  const size_t num_cols = prefix.size();
-  // Lower bound: first row >= prefix (on the leading columns).
-  size_t lo = 0, hi = NumRows();
-  while (lo < hi) {
-    const size_t mid = lo + (hi - lo) / 2;
-    if (CompareRow(mid, prefix, num_cols) < 0) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  const size_t first = lo;
-  // Upper bound: first row > prefix.
-  hi = NumRows();
-  while (lo < hi) {
-    const size_t mid = lo + (hi - lo) / 2;
-    if (CompareRow(mid, prefix, num_cols) <= 0) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  return {first, lo};
-}
-
-PredicateTable PredicateTable::Merge(const PredicateTable& a,
-                                     const PredicateTable& b) {
-  ORDLOG_DCHECK(a.arity() == b.arity()) << "merge arity mismatch";
-  if (a.Empty()) return b;
-  if (b.Empty()) return a;
-  const size_t arity = a.arity();
-  PredicateTable out(arity);
-  out.atom_ids_.reserve(a.NumRows() + b.NumRows());
-  for (auto& column : out.columns_) {
-    column.reserve(a.NumRows() + b.NumRows());
-  }
-  auto emit = [&](const PredicateTable& src, size_t row) {
-    for (size_t col = 0; col < arity; ++col) {
-      out.columns_[col].push_back(src.columns_[col][row]);
-    }
-    out.atom_ids_.push_back(src.atom_ids_[row]);
-  };
-  auto compare = [&](size_t ra, size_t rb) {
-    for (size_t col = 0; col < arity; ++col) {
-      const TermId lhs = a.columns_[col][ra];
-      const TermId rhs = b.columns_[col][rb];
-      if (lhs < rhs) return -1;
-      if (lhs > rhs) return 1;
-    }
-    return 0;
-  };
-  size_t ia = 0, ib = 0;
-  while (ia < a.NumRows() && ib < b.NumRows()) {
-    const int order = compare(ia, ib);
-    if (order < 0) {
-      emit(a, ia++);
-    } else if (order > 0) {
-      emit(b, ib++);
-    } else {
-      emit(a, ia++);  // duplicate: a wins
-      ++ib;
-    }
-  }
-  while (ia < a.NumRows()) emit(a, ia++);
-  while (ib < b.NumRows()) emit(b, ib++);
-  return out;
-}
 
 void PredicateTableBuilder::AddRow(const TermId* args, GroundAtomId atom) {
   for (size_t col = 0; col < arity_; ++col) flat_.push_back(args[col]);
@@ -177,31 +81,31 @@ PredicateTable PredicateTableBuilder::Build() {
   return table;
 }
 
-void TupleStore::Stage(SymbolId predicate, bool positive,
-                       const TermId* args, size_t arity,
-                       GroundAtomId tag) {
-  const size_t key = Key(predicate, positive);
+void FactStore::Stage(GroundLiteral literal) {
+  const Atom& atom = program_.atom(literal.atom);
+  const size_t key = static_cast<size_t>(atom.predicate) * 2 +
+                     (literal.positive ? 1 : 0);
   if (key >= channel_slots_.size()) {
     channel_slots_.resize(key + 1, kNoChannel);
   }
-  uint32_t& slot = channel_slots_[key];
-  if (slot == kNoChannel) {
-    slot = static_cast<uint32_t>(channels_.size());
-    channels_.emplace_back(predicate, positive, arity);
+  uint32_t* slot = &channel_slots_[key];
+  while (*slot != kNoChannel &&
+         channels_[*slot].staged.arity() != atom.args.size()) {
+    slot = &channels_[*slot].other_arity;
   }
-  Channel& channel = channels_[slot];
-  ORDLOG_DCHECK(channel.base.arity() == arity) << "channel arity mismatch";
-  if (channel.staged.Empty()) dirty_.push_back(slot);
-  channel.staged.AddRow(args, tag);
+  uint32_t index = *slot;
+  if (index == kNoChannel) {
+    index = static_cast<uint32_t>(channels_.size());
+    *slot = index;  // before emplace_back, which may move `slot`'s channel
+    channels_.emplace_back(atom.predicate, literal.positive,
+                           atom.args.size());
+  }
+  Channel& channel = channels_[index];
+  if (channel.staged.Empty()) dirty_.push_back(index);
+  channel.staged.AddRow(atom.args.data(), literal.atom);
 }
 
-void FactStore::Stage(GroundLiteral literal) {
-  const Atom& atom = program_.atom(literal.atom);
-  store_.Stage(atom.predicate, literal.positive, atom.args.data(),
-               atom.args.size(), literal.atom);
-}
-
-size_t TupleStore::Commit() {
+size_t FactStore::Commit() {
   deltas_.clear();
   size_t committed = 0;
   std::sort(dirty_.begin(), dirty_.end());  // deterministic channel order
@@ -209,65 +113,11 @@ size_t TupleStore::Commit() {
     Channel& channel = channels_[index];
     PredicateTable delta = channel.staged.Build();
     committed += delta.NumRows();
-    channel.base = PredicateTable::Merge(channel.base, delta);
-    const size_t key = Key(channel.predicate, channel.positive);
-    for (View& view : views_) {
-      if (view.key != key) continue;
-      view.table = PredicateTable::Merge(view.table,
-                                         Permute(delta, view.perm));
-    }
     deltas_.push_back(
         Delta{channel.predicate, channel.positive, std::move(delta)});
   }
   dirty_.clear();
-  num_facts_ += committed;
   return committed;
-}
-
-PredicateTable TupleStore::Permute(const PredicateTable& source,
-                                   const std::vector<uint32_t>& perm) {
-  PredicateTableBuilder builder(perm.size());
-  std::vector<TermId> row(perm.size());
-  for (size_t r = 0; r < source.NumRows(); ++r) {
-    for (size_t c = 0; c < perm.size(); ++c) {
-      row[c] = source.Term(r, perm[c]);
-    }
-    builder.AddRow(row.empty() ? nullptr : row.data(), source.atom_id(r));
-  }
-  return builder.Build();
-}
-
-void TupleStore::RegisterView(SymbolId predicate, bool positive,
-                              const std::vector<uint32_t>& perm) {
-  const size_t key = Key(predicate, positive);
-  for (const View& view : views_) {
-    if (view.key == key && view.perm == perm) return;
-  }
-  views_.emplace_back(key, perm);
-  // Backfill anything committed before the view existed.
-  const PredicateTable* base = Find(predicate, positive);
-  if (base != nullptr && !base->Empty()) {
-    views_.back().table = Permute(*base, perm);
-  }
-}
-
-const PredicateTable* TupleStore::FindView(
-    SymbolId predicate, bool positive,
-    const std::vector<uint32_t>& perm) const {
-  const size_t key = Key(predicate, positive);
-  for (const View& view : views_) {
-    if (view.key == key && view.perm == perm) return &view.table;
-  }
-  return nullptr;
-}
-
-const PredicateTable* TupleStore::Find(SymbolId predicate,
-                                       bool positive) const {
-  const size_t key = Key(predicate, positive);
-  if (key >= channel_slots_.size() || channel_slots_[key] == kNoChannel) {
-    return nullptr;
-  }
-  return &channels_[channel_slots_[key]].base;
 }
 
 }  // namespace ordlog

@@ -2,8 +2,6 @@
 #define ORDLOG_EVAL_COLUMNAR_H_
 
 #include <cstdint>
-#include <optional>
-#include <utility>
 #include <vector>
 
 #include "ground/ground_program.h"
@@ -11,14 +9,13 @@
 namespace ordlog {
 
 // A sorted, deduplicated, columnar table of ground tuples for one
-// (predicate, sign) channel of a fact store. Rows are the argument tuples
-// of derived ground atoms; each row also carries the dense GroundAtomId of
-// the atom it came from, so set-at-a-time consumers can hop back into the
-// bitset/rule world without re-interning. Storage is column-major (one
-// contiguous `TermId` vector per argument position), rows are kept in
-// lexicographic TermId order with no duplicates, and probes are binary
-// searches over that order. Build with PredicateTableBuilder or by merging
-// two tables with PredicateTable::Merge.
+// (predicate, sign) channel of a fact store's round delta. Rows are the
+// argument tuples of derived ground atoms; each row also carries the dense
+// GroundAtomId of the atom it came from, so set-at-a-time consumers can
+// hop back into the bitset/rule world without re-interning. Storage is
+// column-major (one contiguous `TermId` vector per argument position), and
+// rows are kept in lexicographic TermId order with no duplicates. Build
+// with PredicateTableBuilder.
 class PredicateTable {
  public:
   // An empty table of the given arity (0-ary tables hold at most one row).
@@ -35,34 +32,13 @@ class PredicateTable {
   TermId Term(size_t row, size_t col) const { return columns_[col][row]; }
   // The ground atom the row was staged from.
   GroundAtomId atom_id(size_t row) const { return atom_ids_[row]; }
-  // One whole column, contiguous over all rows (the columnar payoff:
-  // scans of a single argument position touch one dense array).
+  // One whole column, contiguous over all rows.
   const std::vector<TermId>& Column(size_t col) const {
     return columns_[col];
   }
 
-  // Binary-search membership probe for a full tuple (`args` has arity()
-  // entries). O(arity * log rows).
-  bool Contains(const std::vector<TermId>& args) const;
-  // Row index of the tuple, if present.
-  std::optional<size_t> FindRow(const std::vector<TermId>& args) const;
-  // The contiguous [first, last) row range whose leading columns equal
-  // `prefix` (empty prefix selects every row). This is the probe shape a
-  // merge-join uses: bind the leading arguments, scan the matching range.
-  std::pair<size_t, size_t> EqualRange(
-      const std::vector<TermId>& prefix) const;
-
-  // The sorted-merge of two tables of the same arity (duplicate tuples
-  // keep `a`'s row). Linear in the total row count — this is the per-round
-  // delta commit of FactStore.
-  static PredicateTable Merge(const PredicateTable& a,
-                              const PredicateTable& b);
-
  private:
   friend class PredicateTableBuilder;
-  // Lexicographic tuple comparison of row `row` against `args`/`prefix`.
-  int CompareRow(size_t row, const std::vector<TermId>& args,
-                 size_t num_cols) const;
 
   std::vector<std::vector<TermId>> columns_;  // [col][row]
   std::vector<GroundAtomId> atom_ids_;        // [row]
@@ -77,6 +53,8 @@ class PredicateTableBuilder {
 
   // Appends one tuple (`args` must have exactly arity() entries).
   void AddRow(const TermId* args, GroundAtomId atom);
+  // Number of argument positions.
+  size_t arity() const { return arity_; }
   // Number of rows added since the last Build (pre-dedup).
   size_t NumStaged() const { return atoms_.size(); }
   // True when no rows are staged.
@@ -91,36 +69,29 @@ class PredicateTableBuilder {
   std::vector<GroundAtomId> atoms_;
 };
 
-// The columnar tuple store a least-model evaluation derives into: one
-// PredicateTable per (predicate symbol, sign) channel, plus a staging
-// area for the current round's delta. The protocol per round is
+// The round-delta store a semi-naive evaluation derives into. The
+// protocol per round is
 //
-//   Stage(tuple)...     — each tuple derived this round, once
+//   Stage(literal)...   — each literal derived this round, once
 //   Commit()            — sort the staged rows into per-channel delta
-//                         tables, merge them into the base tables, and
-//                         expose them via `deltas()` for the next round's
-//                         set-at-a-time propagation
+//                         tables and expose them via `deltas()` for the
+//                         next round's set-at-a-time propagation
 //
-// Channels are created lazily on first Stage, keyed by predicate symbol
-// and sign; negative literals land in the negative channel of the same
+// A channel is one (predicate symbol, arity, sign) triple, created on its
+// first Stage; negative literals land in the negative channel of the same
 // predicate (the paper's explicitly-derived classical negation, not
-// negation-as-failure). The store is deliberately independent of any
-// GroundProgram: the ground semi-naive evaluator feeds it through the
-// FactStore adapter below, and the grounding-fused evaluator
-// (src/eval/fused.h) stages raw argument tuples directly — its whole
-// point is that no ground atom universe exists. The per-row tag is a
-// caller-chosen id carried through sorting (the adapter stores the dense
-// GroundAtomId; the fused engine stores a discovery-order literal id).
-class TupleStore {
+// negation-as-failure). Only the latest round is kept: the evaluator's
+// Interpretation already holds everything derived so far.
+class FactStore {
  public:
-  // Stages one derived tuple into the current round's delta for the
-  // (predicate, positive) channel; `args` has `arity` entries, and the
-  // channel's arity is fixed by its first Stage. The caller guarantees
-  // per-round uniqueness (evaluators stage a tuple only when it first
-  // enters the interpretation); duplicates are deduplicated at Commit
-  // anyway.
-  void Stage(SymbolId predicate, bool positive, const TermId* args,
-             size_t arity, GroundAtomId tag);
+  // An empty store deriving into `program`'s atom universe.
+  explicit FactStore(const GroundProgram& program) : program_(program) {}
+
+  // Stages one derived literal into the current round's delta. The
+  // caller guarantees per-round uniqueness (evaluators stage a literal
+  // only when it first enters the interpretation); duplicates are
+  // deduplicated at Commit anyway.
+  void Stage(GroundLiteral literal);
 
   // One committed delta channel: the predicate, the sign, and the sorted
   // delta table (only non-empty channels are reported).
@@ -130,116 +101,36 @@ class TupleStore {
     PredicateTable table;
   };
 
-  // Sorts and commits the staged rows. After Commit, `deltas()` holds the
-  // round's per-channel delta tables and the base tables include them.
-  // Returns the number of committed tuples (0 = fixpoint).
+  // Sorts and commits the staged rows into `deltas()`, channels in the
+  // order they were first staged into. Returns the number of committed
+  // tuples (0 = fixpoint).
   size_t Commit();
 
   // The channels committed by the most recent Commit.
   const std::vector<Delta>& deltas() const { return deltas_; }
 
-  // The accumulated base table of a channel, or null if the channel never
-  // received a tuple.
-  const PredicateTable* Find(SymbolId predicate, bool positive) const;
-
-  // Registers (idempotently) a permuted read view of the (predicate,
-  // sign) channel: a copy of its base table with column j holding
-  // argument perm[j], kept sorted under that column order — the shape a
-  // join plan needs to EqualRange-probe on bound columns that are not a
-  // prefix of the canonical argument order. Rows committed before
-  // registration are backfilled; later Commits keep the view in sync.
-  // `perm` must be a permutation of [0, channel arity).
-  void RegisterView(SymbolId predicate, bool positive,
-                    const std::vector<uint32_t>& perm);
-
-  // The registered permuted view of a channel, or null when RegisterView
-  // was never called with exactly this (predicate, sign, perm). The
-  // returned table is empty until matching tuples are committed.
-  const PredicateTable* FindView(SymbolId predicate, bool positive,
-                                 const std::vector<uint32_t>& perm) const;
-
-  // Total tuples across all base tables.
-  size_t NumFacts() const { return num_facts_; }
-
  private:
+  // Sentinel for a channel never staged into.
+  static constexpr uint32_t kNoChannel = 0xffffffffu;
   struct Channel {
     SymbolId predicate = 0;
     bool positive = true;
-    PredicateTable base;
     PredicateTableBuilder staged;
+    // The channel of the same (predicate, sign) at another arity, or
+    // kNoChannel.
+    uint32_t other_arity = kNoChannel;
     Channel(SymbolId p, bool pos, size_t arity)
-        : predicate(p), positive(pos), base(arity), staged(arity) {}
+        : predicate(p), positive(pos), staged(arity) {}
   };
-  // Channel key: predicate symbol * 2 + sign.
-  static size_t Key(SymbolId predicate, bool positive) {
-    return static_cast<size_t>(predicate) * 2 + (positive ? 1 : 0);
-  }
-  // Sentinel in `channel_slots_` for a channel never staged into.
-  static constexpr uint32_t kNoChannel = 0xffffffffu;
 
-  // One permuted read view (RegisterView) over channel `key`: the
-  // channel's rows with columns reordered by `perm`, sorted under the
-  // permuted order, updated at every Commit.
-  struct View {
-    size_t key = 0;
-    std::vector<uint32_t> perm;
-    PredicateTable table;
-    View(size_t k, std::vector<uint32_t> p)
-        : key(k), perm(std::move(p)), table(perm.size()) {}
-  };
-  // Permutes one table's rows into `perm` column order.
-  static PredicateTable Permute(const PredicateTable& source,
-                                const std::vector<uint32_t>& perm);
-
+  const GroundProgram& program_;
   std::vector<Channel> channels_;
-  // Key -> index into channels_, grown on demand. A flat array beats a
-  // hash map here: Stage runs once per derived literal, and predicate
-  // symbol ids are small and dense.
+  // (predicate * 2 + sign) -> index into channels_ of its first arity,
+  // grown on demand. A flat array beats a hash map here: Stage runs once
+  // per derived literal, and predicate symbol ids are small and dense.
   std::vector<uint32_t> channel_slots_;
   std::vector<uint32_t> dirty_;  // channels with staged rows
   std::vector<Delta> deltas_;
-  // Registered permuted views; a handful per evaluation, so linear
-  // lookup beats a hashed key.
-  std::vector<View> views_;
-  size_t num_facts_ = 0;
-};
-
-// TupleStore adapter for evaluations over an already-ground program: the
-// staged unit is a GroundLiteral, resolved to its (predicate, sign,
-// argument tuple) channel through the program's atom table, and each
-// row's tag is the literal's dense GroundAtomId so set-at-a-time
-// consumers can hop back into the bitset/rule world without
-// re-interning.
-class FactStore {
- public:
-  // An empty store deriving into `program`'s atom universe.
-  explicit FactStore(const GroundProgram& program) : program_(program) {}
-
-  // Stages one derived literal into the current round's delta (see
-  // TupleStore::Stage for the uniqueness contract).
-  void Stage(GroundLiteral literal);
-
-  // One committed delta channel (see TupleStore::Delta).
-  using Delta = TupleStore::Delta;
-
-  // Sorts and commits the staged rows (see TupleStore::Commit).
-  size_t Commit() { return store_.Commit(); }
-
-  // The channels committed by the most recent Commit.
-  const std::vector<Delta>& deltas() const { return store_.deltas(); }
-
-  // The accumulated base table of a channel, or null if the channel never
-  // received a fact.
-  const PredicateTable* Find(SymbolId predicate, bool positive) const {
-    return store_.Find(predicate, positive);
-  }
-
-  // Total tuples across all base tables.
-  size_t NumFacts() const { return store_.NumFacts(); }
-
- private:
-  const GroundProgram& program_;
-  TupleStore store_;
 };
 
 }  // namespace ordlog

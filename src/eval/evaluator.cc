@@ -1,9 +1,5 @@
 #include "eval/evaluator.h"
 
-#include <utility>
-
-#include "base/logging.h"
-
 namespace ordlog {
 
 const char* EvalStrategyName(EvalStrategy strategy) {
@@ -12,8 +8,6 @@ const char* EvalStrategyName(EvalStrategy strategy) {
       return "worklist";
     case EvalStrategy::kSemiNaive:
       return "semi_naive";
-    case EvalStrategy::kFused:
-      return "fused";
   }
   return "unknown";
 }
@@ -21,63 +15,33 @@ const char* EvalStrategyName(EvalStrategy strategy) {
 LeastModelEvaluator::LeastModelEvaluator(const GroundProgram& program,
                                          ComponentId view,
                                          EvalOptions options)
-    : LeastModelEvaluator(nullptr, program, view, options) {}
-
-LeastModelEvaluator::LeastModelEvaluator(const FamilySet* families,
-                                         const GroundProgram& program,
-                                         ComponentId view,
-                                         EvalOptions options)
     : options_(options) {
   if (options_.strategy == EvalStrategy::kWorklist) {
     worklist_.emplace(program, view);
-    return;
+  } else {
+    semi_naive_.emplace(program, view);
   }
-  if (options_.strategy == EvalStrategy::kFused) {
-    if (families == nullptr) {
-      fused_fallback_reason_ = "no family set supplied";
-    } else {
-      FusedEvaluator candidate(*families, view);
-      if (candidate.eligible()) {
-        fused_.emplace(std::move(candidate));
-        program_ = &program;
-        return;
-      }
-      fused_fallback_reason_ = candidate.ineligible_reason();
-    }
-    // Fall through: the ground semi-naive engine computes the identical
-    // least model, just through the materialized ground program.
-  }
-  semi_naive_.emplace(program, view);
 }
 
 Interpretation LeastModelEvaluator::Compute() const {
-  if (fused_.has_value()) {
-    // Uncancelled and unseeded, the fused fixpoint can only fail on an
-    // engine bug (a derived tuple missing from the ground program).
-    return std::move(fused_->Compute(*program_, nullptr)).value();
-  }
   return worklist_.has_value() ? worklist_->Compute()
                                : semi_naive_->Compute();
 }
 
 StatusOr<Interpretation> LeastModelEvaluator::Compute(
     const CancelToken& cancel) const {
-  if (fused_.has_value()) return fused_->Compute(*program_, &cancel);
   return worklist_.has_value() ? worklist_->Compute(cancel)
                                : semi_naive_->Compute(cancel);
 }
 
 StatusOr<Interpretation> LeastModelEvaluator::ComputeFrom(
     const Interpretation& seed, const CancelToken* cancel) const {
-  if (fused_.has_value()) return fused_->ComputeFrom(*program_, seed, cancel);
   return worklist_.has_value() ? worklist_->ComputeFrom(seed, cancel)
                                : semi_naive_->ComputeFrom(seed, cancel);
 }
 
 void LeastModelEvaluator::set_trace(TraceSink* sink) {
-  if (fused_.has_value()) {
-    fused_->set_trace(sink);
-  } else if (worklist_.has_value()) {
+  if (worklist_.has_value()) {
     worklist_->set_trace(sink);
   } else {
     semi_naive_->set_trace(sink);
@@ -85,7 +49,6 @@ void LeastModelEvaluator::set_trace(TraceSink* sink) {
 }
 
 EvalStats LeastModelEvaluator::last_stats() const {
-  if (fused_.has_value()) return fused_->last_stats();
   return semi_naive_.has_value() ? semi_naive_->last_stats() : EvalStats{};
 }
 

@@ -2,15 +2,17 @@
 #define ORDLOG_EVAL_EVALUATOR_H_
 
 #include <optional>
-#include <string>
 
 #include "base/cancel.h"
 #include "base/status.h"
 #include "core/least_model.h"
-#include "eval/fused.h"
 #include "eval/semi_naive.h"
 
 namespace ordlog {
+
+// Declared only for the perfbench/serve_bench.cc call of the
+// four-argument LeastModelEvaluator constructor below.
+class FamilySet;
 
 // Which least-model engine to run (docs/EVALUATION.md compares them).
 enum class EvalStrategy : uint8_t {
@@ -20,18 +22,13 @@ enum class EvalStrategy : uint8_t {
   // Semi-naive, set-at-a-time rounds over the columnar fact store
   // (SemiNaiveEvaluator). The production default.
   kSemiNaive,
-  // Grounding-fused semi-naive joins over rule families (FusedEvaluator):
-  // no materialized ground program on the hot path. Requires an eligible
-  // FamilySet; falls back to kSemiNaive otherwise (fused_active() tells).
-  kFused,
 };
 
-// Canonical lowercase name of a strategy ("worklist", "semi_naive",
-// "fused").
+// Canonical lowercase name of a strategy ("worklist", "semi_naive").
 const char* EvalStrategyName(EvalStrategy strategy);
 
-// Evaluation-pipeline options threaded from KnowledgeBase / QueryEngine
-// callers down to the fixpoint engines.
+// Engine selection for the ablation bench and the differential suites;
+// the kb/ and runtime/ layers always run the default.
 struct EvalOptions {
   // Engine selection; both produce the identical least model.
   EvalStrategy strategy = EvalStrategy::kSemiNaive;
@@ -45,17 +42,16 @@ struct EvalOptions {
 class LeastModelEvaluator {
  public:
   // Compiles `view` of `program` under the selected strategy. The program
-  // must outlive the evaluator. kFused degrades to kSemiNaive here (no
-  // family set is available through this constructor).
+  // must outlive the evaluator.
   LeastModelEvaluator(const GroundProgram& program, ComponentId view,
                       EvalOptions options = {});
 
-  // As above, with the source program's rule families for the fused
-  // strategy. `families` may be null or ineligible — kFused then falls
-  // back to kSemiNaive and fused_active() reports false. Both referents
-  // must outlive the evaluator.
-  LeastModelEvaluator(const FamilySet* families, const GroundProgram& program,
-                      ComponentId view, EvalOptions options = {});
+  // As above; the first argument is ignored. Kept only for the
+  // perfbench/serve_bench.cc call site.
+  LeastModelEvaluator(const FamilySet* /*unused*/,
+                      const GroundProgram& program, ComponentId view,
+                      EvalOptions options = {})
+      : LeastModelEvaluator(program, view, options) {}
 
   // Computes V∞(∅) for the view.
   Interpretation Compute() const;
@@ -78,25 +74,11 @@ class LeastModelEvaluator {
   // The strategy this evaluator runs.
   EvalStrategy strategy() const { return options_.strategy; }
 
-  // True when the fused engine is actually serving this evaluator (the
-  // strategy is kFused AND an eligible family set was supplied).
-  bool fused_active() const { return fused_.has_value(); }
-
-  // Why kFused fell back to kSemiNaive (empty when fused is active or
-  // was never requested).
-  const std::string& fused_fallback_reason() const {
-    return fused_fallback_reason_;
-  }
-
  private:
   EvalOptions options_;
   // Exactly one engine is constructed, per the strategy.
   std::optional<LeastModelComputer> worklist_;
   std::optional<SemiNaiveEvaluator> semi_naive_;
-  std::optional<FusedEvaluator> fused_;
-  // The ground program results are expressed over (fused path only).
-  const GroundProgram* program_ = nullptr;
-  std::string fused_fallback_reason_;
 };
 
 }  // namespace ordlog

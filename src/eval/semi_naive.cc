@@ -114,7 +114,7 @@ StatusOr<Interpretation> SemiNaiveEvaluator::ComputeImpl(
       ORDLOG_RETURN_IF_ERROR(cancel->Check());
     }
     // Commit phase: the accumulated literals become sorted per-predicate
-    // delta tables (and the store's base tables absorb them).
+    // delta tables.
     const size_t committed = store.Commit();
     if (committed == 0) break;  // fixpoint
     ++stats_.rounds;

@@ -30,7 +30,7 @@ struct EvalStats {
 // tests/eval/semi_naive_differential_test.cc). The pipeline, specified in
 // docs/EVALUATION.md:
 //
-//  * the view is compiled once (CompiledView: family-major compact rule
+//  * the view is compiled once (CompiledView: program-order compact rule
 //    ids, flat CSR body index and silencer graph);
 //  * each round fires every rule that is applicable and unsilenced under
 //    the interpretation as of the round start, committing the newly

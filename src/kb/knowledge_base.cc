@@ -26,7 +26,6 @@ KnowledgeBase::KnowledgeBase(GrounderOptions options)
 void KnowledgeBase::Invalidate() {
   ++revision_;
   ground_.reset();
-  families_.reset();
   least_models_.clear();
   stable_models_.clear();
   warm_seeds_.clear();
@@ -213,16 +212,6 @@ StatusOr<MutationReport> KnowledgeBase::Apply(const Mutation& mutation) {
       return report;
     }
     ++revision_;
-    // Re-extract the rule families against the grown program so the fused
-    // strategy sees the batch's rules (the mutation unfinalizes the
-    // program; re-finalizing is idempotent and adds no order edges).
-    const Status refinalized = program_.Finalize();
-    if (refinalized.ok()) {
-      families_ =
-          std::make_shared<const FamilySet>(FamilySet::Extract(program_));
-    } else {
-      families_.reset();  // fused falls back to the patched ground program
-    }
     report.incremental = true;
     report.revision = revision_;
     report.delta_rules = result->rules_added;
@@ -369,15 +358,6 @@ StatusOr<const GroundProgram*> KnowledgeBase::ground(
     ORDLOG_ASSIGN_OR_RETURN(GroundProgram ground_program,
                             Grounder::Ground(program_, options));
     ground_ = std::make_shared<GroundProgram>(std::move(ground_program));
-    // Extract rule families alongside the grounding, for the fused
-    // evaluation strategy. Families describe exactly the default
-    // grounder's instance set; configurations that change that set
-    // (function-depth closure, reachability pruning) must not use them.
-    if (options_.herbrand.max_function_depth == 0 &&
-        !options_.prune_unreachable) {
-      families_ =
-          std::make_shared<const FamilySet>(FamilySet::Extract(program_));
-    }
   }
   return ground_.get();
 }
@@ -393,8 +373,7 @@ StatusOr<const Interpretation*> KnowledgeBase::LeastModel(
   auto it = least_models_.find(module);
   if (it == least_models_.end()) {
     ORDLOG_ASSIGN_OR_RETURN(const GroundProgram* ground_program, ground());
-    LeastModelEvaluator evaluator(families_.get(), *ground_program, module,
-                                  eval_options_);
+    LeastModelEvaluator evaluator(*ground_program, module);
     auto seed_it = warm_seeds_.find(module);
     if (seed_it != warm_seeds_.end()) {
       const Interpretation seed = std::move(seed_it->second);

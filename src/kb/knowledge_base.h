@@ -11,7 +11,6 @@
 #include "base/status.h"
 #include "core/interpretation.h"
 #include "eval/evaluator.h"
-#include "ground/families.h"
 #include "ground/grounder.h"
 #include "kb/mutation.h"
 #include "lang/program.h"
@@ -160,23 +159,11 @@ class KnowledgeBase {
   // serialize access (QueryEngine does).
   const std::shared_ptr<TermPool>& shared_pool() const { return pool_; }
 
-  // The rule families extracted alongside the cached ground program, for
-  // the fused evaluation strategy (docs/EVALUATION.md). Null until
-  // ground() has run, after a mutation, or when the grounder options are
-  // incompatible with fused evaluation (function-depth closure or
-  // reachability pruning change the instance set families describe).
-  // Shared so runtime snapshots can outlive the next invalidation.
-  const std::shared_ptr<const FamilySet>& families() const {
-    return families_;
-  }
-
-  // Evaluation-pipeline selection for least-model computation
-  // (docs/EVALUATION.md). Affects future LeastModel computations only;
-  // already-cached models are kept (both strategies produce the identical
-  // model, so flipping mid-lifetime is safe).
-  void set_eval_options(EvalOptions options) { eval_options_ = options; }
-  // The options LeastModel computations currently run under.
-  const EvalOptions& eval_options() const { return eval_options_; }
+  // Always null; kept only for the perfbench/serve_bench.cc call site.
+  std::shared_ptr<const FamilySet> families() const { return nullptr; }
+  // Always the default; kept only for the perfbench/serve_bench.cc call
+  // site.
+  EvalOptions eval_options() const { return {}; }
 
  private:
   // Bumps the revision and drops the lazily cached ground program/models.
@@ -190,12 +177,10 @@ class KnowledgeBase {
       ComponentId module);
 
   GrounderOptions options_;
-  EvalOptions eval_options_;
   std::shared_ptr<TermPool> pool_;
   uint64_t revision_ = 0;
   OrderedProgram program_;
   std::shared_ptr<GroundProgram> ground_;
-  std::shared_ptr<const FamilySet> families_;
   std::unordered_map<ComponentId, Interpretation> least_models_;
   std::unordered_map<ComponentId, std::vector<Interpretation>>
       stable_models_;

@@ -8,6 +8,14 @@
 namespace ordlog {
 namespace {
 
+// Deepest nesting the parser accepts. A function-term argument list, a
+// unary minus, a parenthesis and a binary arithmetic operator each add
+// one level (a comparison's operators are counted cumulatively, since a
+// chain like `1+1+...` builds a tree as deep as it is long). The bound
+// keeps the parser's recursion, and every later recursive pass over the
+// trees it builds, off the end of the stack: hostile input gets a Status.
+constexpr int kMaxNesting = 512;
+
 // Recursive-descent parser over the token stream. Methods return Status /
 // StatusOr and never throw; the first error aborts the parse.
 class ParserImpl {
@@ -39,6 +47,14 @@ class ParserImpl {
     return ErrorAt(Peek(), StrCat("expected ", TokenTypeToString(type), " ",
                                   context, ", found ",
                                   TokenTypeToString(Peek().type)));
+  }
+
+  // Enters one nesting level (see kMaxNesting). The caller restores
+  // depth_ on success; an error abandons the whole parse.
+  Status Nest() {
+    if (++depth_ <= kMaxNesting) return Status::Ok();
+    return ErrorAt(Peek(), StrCat("nesting deeper than ", kMaxNesting,
+                                  " levels"));
   }
 
   bool IsKeyword(std::string_view keyword) const {
@@ -201,6 +217,7 @@ class ParserImpl {
     if (Check(TokenType::kIdentifier)) {
       const std::string name = Advance().text;
       if (Match(TokenType::kLeftParen)) {
+        ORDLOG_RETURN_IF_ERROR(Nest());
         std::vector<TermId> args;
         while (true) {
           ORDLOG_ASSIGN_OR_RETURN(const TermId term, ParseTerm());
@@ -209,6 +226,7 @@ class ParserImpl {
         }
         ORDLOG_RETURN_IF_ERROR(
             Expect(TokenType::kRightParen, "after function arguments"));
+        --depth_;
         return pool_.MakeFunction(name, std::move(args));
       }
       return pool_.MakeConstant(name);
@@ -217,6 +235,7 @@ class ParserImpl {
   }
 
   StatusOr<Comparison> ParseComparison() {
+    const int depth = depth_;
     Comparison comparison;
     ORDLOG_ASSIGN_OR_RETURN(comparison.lhs, ParseArith());
     switch (Peek().type) {
@@ -244,6 +263,7 @@ class ParserImpl {
     }
     Advance();
     ORDLOG_ASSIGN_OR_RETURN(comparison.rhs, ParseArith());
+    depth_ = depth;
     return comparison;
   }
 
@@ -251,6 +271,7 @@ class ParserImpl {
     ORDLOG_ASSIGN_OR_RETURN(ArithExpr lhs, ParseMul());
     while (Check(TokenType::kPlus) || Check(TokenType::kMinus)) {
       const bool add = Advance().type == TokenType::kPlus;
+      ORDLOG_RETURN_IF_ERROR(Nest());
       ORDLOG_ASSIGN_OR_RETURN(ArithExpr rhs, ParseMul());
       lhs = add ? ArithExpr::Add(std::move(lhs), std::move(rhs))
                 : ArithExpr::Subtract(std::move(lhs), std::move(rhs));
@@ -261,6 +282,7 @@ class ParserImpl {
   StatusOr<ArithExpr> ParseMul() {
     ORDLOG_ASSIGN_OR_RETURN(ArithExpr lhs, ParseUnary());
     while (Match(TokenType::kStar)) {
+      ORDLOG_RETURN_IF_ERROR(Nest());
       ORDLOG_ASSIGN_OR_RETURN(ArithExpr rhs, ParseUnary());
       lhs = ArithExpr::Multiply(std::move(lhs), std::move(rhs));
     }
@@ -269,6 +291,7 @@ class ParserImpl {
 
   StatusOr<ArithExpr> ParseUnary() {
     if (Match(TokenType::kMinus)) {
+      ORDLOG_RETURN_IF_ERROR(Nest());
       ORDLOG_ASSIGN_OR_RETURN(ArithExpr operand, ParseUnary());
       return ArithExpr::Negate(std::move(operand));
     }
@@ -285,6 +308,7 @@ class ParserImpl {
       return ArithExpr::Term(term);
     }
     if (Match(TokenType::kLeftParen)) {
+      ORDLOG_RETURN_IF_ERROR(Nest());
       ORDLOG_ASSIGN_OR_RETURN(ArithExpr inner, ParseArith());
       ORDLOG_RETURN_IF_ERROR(
           Expect(TokenType::kRightParen, "after parenthesized expression"));
@@ -302,6 +326,7 @@ class ParserImpl {
  private:
   std::vector<Token> tokens_;
   size_t pos_ = 0;
+  int depth_ = 0;  // current nesting level (see Nest)
   TermPool& pool_;
 };
 

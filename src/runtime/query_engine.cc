@@ -212,14 +212,6 @@ QueryEngine::QueryEngine(KnowledgeBase& kb, QueryEngineOptions options)
                "Tuples committed into per-round columnar delta tables by "
                "semi-naive least-model computations.")
            .WithLabels();
-  eval_fused_total_ =
-      &registry_
-           .GetCounterFamily(
-               "ordlog_eval_fused_total",
-               "Least-model computations served by the grounding-fused "
-               "join evaluator (strategy=fused and the view's rule "
-               "families were expressible; see docs/EVALUATION.md).")
-           .WithLabels();
   delta_rules_total_ = &registry_
                             .GetCounterFamily(
                                 "ordlog_incremental_delta_rules_total",
@@ -492,7 +484,7 @@ QueryEngine::AcquireSnapshot(const CancelToken& cancel, SpanContext* span,
   GroundStats ground_stats;
   ORDLOG_RETURN_IF_ERROR(kb_.ground(&cancel, &ground_stats).status());
   snapshot_ = std::make_shared<const Snapshot>(
-      Snapshot{kb_.revision(), kb_.shared_ground(), kb_.families()});
+      Snapshot{kb_.revision(), kb_.shared_ground()});
   ground_rules_family_->WithLabels("emitted")
       .Increment(ground_stats.rules_emitted);
   ground_rules_family_->WithLabels("matched")
@@ -540,8 +532,7 @@ StatusOr<ModelCache::Lookup> QueryEngine::LeastModelFor(
         // work attribution land on the query that paid for the fixpoint.
         ScopedSpan eval_span =
             span != nullptr ? span->StartSpan("eval") : ScopedSpan();
-        LeastModelEvaluator evaluator(snapshot->families.get(),
-                                      *snapshot->ground, view, options_.eval);
+        LeastModelEvaluator evaluator(*snapshot->ground, view);
         evaluator.set_trace(trace);
         // Warm start: a seed parked by ApplyMutation for this revision
         // resumes the fixpoint from the unaffected part of the previous
@@ -578,12 +569,10 @@ StatusOr<ModelCache::Lookup> QueryEngine::LeastModelFor(
         const EvalStats eval_stats = evaluator.last_stats();
         eval_rounds_total_->Increment(eval_stats.rounds);
         eval_delta_tuples_total_->Increment(eval_stats.delta_tuples);
-        if (evaluator.fused_active()) eval_fused_total_->Increment();
         if (eval_span.active()) {
           eval_span.AddAttribute("rounds", eval_stats.rounds);
           eval_span.AddAttribute("delta_tuples", eval_stats.delta_tuples);
           if (warm_model.has_value()) eval_span.AddAttribute("warm_start", 1);
-          if (evaluator.fused_active()) eval_span.AddAttribute("fused", 1);
         }
         if (work != nullptr) {
           work->eval_rounds += eval_stats.rounds;

@@ -57,12 +57,6 @@ struct QueryEngineOptions {
   // `solver.parallel_min_branch` are honored; set search_threads = 1 to
   // force sequential search throughout.
   StableSolverOptions solver;
-  // Least-model engine selection (docs/EVALUATION.md): semi-naive rounds
-  // (the default), fused joins over the KB's rule families (semi-naive
-  // where a view's families are not expressible), or the event-driven
-  // worklist, kept as the differential oracle and ablation baseline. All
-  // produce the identical model.
-  EvalOptions eval;
   ModelCacheOptions cache;
   // Structured trace sink (not owned; null = tracing off, the default).
   // When set, the engine threads the sink into the least-model /
@@ -130,7 +124,7 @@ struct QueryWork {
   uint64_t ground_rules = 0;
   // Grounder index probes of that reground.
   uint64_t index_probes = 0;
-  // Semi-naive rounds to fixpoint (zero under the worklist strategy).
+  // Semi-naive rounds to fixpoint.
   uint64_t eval_rounds = 0;
   // Delta tuples committed by the least-model computation.
   uint64_t delta_tuples = 0;
@@ -293,12 +287,6 @@ class QueryEngine {
   struct Snapshot {
     uint64_t revision = 0;
     std::shared_ptr<const GroundProgram> ground;
-    // The KB's rule families as of this revision, for the fused
-    // evaluation strategy (null when the grounder configuration is
-    // incompatible; the evaluator then falls back to semi-naive).
-    // Shared with the KB — FamilySet is immutable and pool-free, so it
-    // is safe under concurrent regrounds.
-    std::shared_ptr<const FamilySet> families;
   };
 
   // `span` / `work` (both may be null) receive a "ground" child span and
@@ -370,12 +358,9 @@ class QueryEngine {
   // cache_promoted / warm_start / full_fallback.
   CounterFamily* incremental_reuse_family_;
   // Semi-naive least-model work: rounds to fixpoint and delta tuples
-  // committed, summed over computations (zero under the worklist
-  // strategy; see docs/EVALUATION.md).
+  // committed, summed over computations (see docs/EVALUATION.md).
   Counter* eval_rounds_total_;
   Counter* eval_delta_tuples_total_;
-  // Least-model computations the fused join evaluator served.
-  Counter* eval_fused_total_;
   // Ground rules / atoms appended by delta patches.
   Counter* delta_rules_total_;
   Counter* delta_atoms_total_;

@@ -1,13 +1,12 @@
 // The columnar fact store under the semi-naive evaluator: sorted,
-// deduplicated per-predicate tuple tables with binary-search probes, and
-// the per-round stage/commit delta protocol (docs/EVALUATION.md).
+// deduplicated per-predicate delta tables and the per-round stage/commit
+// protocol (docs/EVALUATION.md).
 
 #include "eval/columnar.h"
 
 #include <algorithm>
-#include <optional>
+#include <map>
 #include <random>
-#include <set>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -47,35 +46,6 @@ TEST(PredicateTableTest, BuildSortsAndDeduplicates) {
   EXPECT_TRUE(builder.Empty());
 }
 
-TEST(PredicateTableTest, ProbesAndPrefixRanges) {
-  PredicateTableBuilder builder(2);
-  for (TermId a = 0; a < 4; ++a) {
-    for (TermId b = 0; b < 3; ++b) {
-      const TermId row[] = {a * 2, b * 5};
-      builder.AddRow(row, a * 3 + b);
-    }
-  }
-  const PredicateTable table = builder.Build();
-  ASSERT_EQ(table.NumRows(), 12u);
-
-  EXPECT_TRUE(table.Contains({4, 10}));
-  EXPECT_FALSE(table.Contains({4, 11}));
-  EXPECT_FALSE(table.Contains({5, 10}));
-  ASSERT_TRUE(table.FindRow({0, 0}).has_value());
-  EXPECT_EQ(*table.FindRow({0, 0}), 0u);
-
-  // Prefix probe: all rows with first column 4 form one contiguous range.
-  const auto [first, last] = table.EqualRange({4});
-  EXPECT_EQ(last - first, 3u);
-  for (size_t row = first; row < last; ++row) {
-    EXPECT_EQ(table.Term(row, 0), 4u);
-  }
-  // Empty prefix selects everything; absent prefix selects nothing.
-  EXPECT_EQ(table.EqualRange({}), (std::pair<size_t, size_t>{0, 12}));
-  const auto [miss_first, miss_last] = table.EqualRange({3});
-  EXPECT_EQ(miss_first, miss_last);
-}
-
 TEST(PredicateTableTest, ZeroArityHoldsOneRow) {
   PredicateTableBuilder builder(0);
   builder.AddRow(nullptr, 7);
@@ -83,124 +53,45 @@ TEST(PredicateTableTest, ZeroArityHoldsOneRow) {
   const PredicateTable table = builder.Build();
   ASSERT_EQ(table.NumRows(), 1u);
   EXPECT_EQ(table.atom_id(0), 7u);
-  EXPECT_TRUE(table.Contains({}));
 }
 
-TEST(PredicateTableTest, MergeKeepsOrderAndDedups) {
-  PredicateTableBuilder builder(1);
-  const TermId a0[] = {1}, a1[] = {5};
-  builder.AddRow(a0, 0);
-  builder.AddRow(a1, 1);
-  const PredicateTable a = builder.Build();
-  const TermId b0[] = {3}, b1[] = {5};
-  builder.AddRow(b0, 2);
-  builder.AddRow(b1, 9);
-  const PredicateTable b = builder.Build();
-
-  const PredicateTable merged = PredicateTable::Merge(a, b);
-  ASSERT_EQ(merged.NumRows(), 3u);
-  EXPECT_EQ(merged.Column(0), (std::vector<TermId>{1, 3, 5}));
-  EXPECT_EQ(merged.atom_id(2), 1u);  // duplicate: a's row wins
-}
-
-// Randomized differential audit of the probe primitives against a naive
-// linear scan: EqualRange boundaries, FindRow, and Contains must agree
-// with first principles on tables of every awkward shape — empty,
-// single-row, all-duplicate prefixes, zero arity — since the fused join
-// evaluator trusts EqualRange for its bound-prefix probes.
-TEST(PredicateTableTest, RandomizedProbeMatchesLinearScan) {
+// Randomized audit of Build against a sorted, deduplicated reference on
+// tables of every awkward shape — empty, single-row, already sorted (the
+// builder's fast path), all-duplicate, zero arity: rows come out in
+// lexicographic order and a duplicate keeps its first atom id.
+TEST(PredicateTableTest, RandomizedBuildMatchesSortedSet) {
   std::mt19937 rng(0x5eedc01u);
   for (int trial = 0; trial < 200; ++trial) {
     const size_t arity = trial % 4;  // includes zero-arity tables
-    // A tiny term domain forces heavy duplicate prefixes.
+    // A tiny term domain forces heavy duplicates.
     const TermId domain = 1 + trial % 3;
     const size_t rows = trial % 7 == 0 ? 0 : rng() % 24;
 
-    PredicateTableBuilder builder(arity);
-    std::vector<std::vector<TermId>> reference;
+    std::vector<std::vector<TermId>> staged;
     for (size_t r = 0; r < rows; ++r) {
       std::vector<TermId> row(arity);
       for (TermId& term : row) term = rng() % domain;
-      builder.AddRow(row.empty() ? nullptr : row.data(),
-                     static_cast<GroundAtomId>(r));
-      if (std::find(reference.begin(), reference.end(), row) ==
-          reference.end()) {
-        reference.push_back(std::move(row));
-      }
+      staged.push_back(std::move(row));
     }
-    std::sort(reference.begin(), reference.end());
-    const PredicateTable table = builder.Build();
-    ASSERT_EQ(table.NumRows(), reference.size());
-
-    // Probe every prefix length with both present and absent values.
-    for (size_t len = 0; len <= arity; ++len) {
-      for (int probe_trial = 0; probe_trial < 12; ++probe_trial) {
-        std::vector<TermId> probe(len);
-        // One extra value past the domain exercises the upper boundary.
-        for (TermId& term : probe) term = rng() % (domain + 1);
-
-        size_t linear_first = reference.size();
-        size_t linear_last = reference.size();
-        bool seen = false;
-        for (size_t r = 0; r < reference.size(); ++r) {
-          const bool match = std::equal(probe.begin(), probe.end(),
-                                        reference[r].begin());
-          if (match && !seen) {
-            linear_first = r;
-            seen = true;
-          }
-          if (match) linear_last = r + 1;
-        }
-        if (!seen) linear_first = linear_last;
-
-        const auto [first, last] = table.EqualRange(probe);
-        if (seen) {
-          EXPECT_EQ(first, linear_first) << "trial " << trial;
-          EXPECT_EQ(last, linear_last) << "trial " << trial;
-        } else {
-          EXPECT_EQ(first, last) << "trial " << trial;
-        }
-
-        if (len == arity) {
-          EXPECT_EQ(table.Contains(probe), seen) << "trial " << trial;
-          const std::optional<size_t> found = table.FindRow(probe);
-          EXPECT_EQ(found.has_value(), seen) << "trial " << trial;
-          if (seen) EXPECT_EQ(*found, linear_first);
-        }
-      }
-    }
-  }
-}
-
-// Merge against a set-union reference over random overlapping tables.
-TEST(PredicateTableTest, RandomizedMergeMatchesSetUnion) {
-  std::mt19937 rng(0xab5eedu);
-  for (int trial = 0; trial < 100; ++trial) {
-    const size_t arity = 1 + trial % 3;
+    if (trial % 5 == 0) std::sort(staged.begin(), staged.end());
     PredicateTableBuilder builder(arity);
-    std::set<std::vector<TermId>> expected;
-    const auto fill = [&](size_t rows) {
-      for (size_t r = 0; r < rows; ++r) {
-        std::vector<TermId> row(arity);
-        for (TermId& term : row) term = rng() % 4;
-        builder.AddRow(row.data(), static_cast<GroundAtomId>(r));
-        expected.insert(std::move(row));
-      }
-      return builder.Build();
-    };
-    const PredicateTable a = fill(rng() % 10);
-    const PredicateTable b = fill(rng() % 10);
-    const PredicateTable merged = PredicateTable::Merge(a, b);
-
-    ASSERT_EQ(merged.NumRows(), expected.size()) << "trial " << trial;
+    std::map<std::vector<TermId>, GroundAtomId> reference;
+    for (size_t r = 0; r < staged.size(); ++r) {
+      builder.AddRow(staged[r].empty() ? nullptr : staged[r].data(),
+                     static_cast<GroundAtomId>(r));
+      reference.emplace(staged[r], static_cast<GroundAtomId>(r));
+    }
+    const PredicateTable table = builder.Build();
+    ASSERT_EQ(table.NumRows(), reference.size()) << "trial " << trial;
     size_t row = 0;
-    for (const std::vector<TermId>& tuple : expected) {
+    for (const auto& [tuple, atom] : reference) {
       for (size_t col = 0; col < arity; ++col) {
-        EXPECT_EQ(merged.Term(row, col), tuple[col]) << "trial " << trial;
+        EXPECT_EQ(table.Term(row, col), tuple[col]) << "trial " << trial;
       }
-      EXPECT_TRUE(merged.Contains(tuple));
+      EXPECT_EQ(table.atom_id(row), atom) << "trial " << trial;
       ++row;
     }
+    EXPECT_TRUE(builder.Empty());
   }
 }
 
@@ -212,7 +103,6 @@ TEST(FactStoreTest, StageCommitRoundTrip) {
     }
   )");
   FactStore store(program);
-  EXPECT_EQ(store.NumFacts(), 0u);
 
   // Round 1: stage every fact literal of the program.
   size_t positives = 0;
@@ -224,15 +114,19 @@ TEST(FactStoreTest, StageCommitRoundTrip) {
   }
   const size_t committed = store.Commit();
   EXPECT_EQ(committed, program.NumAtoms());
-  EXPECT_EQ(store.NumFacts(), committed);
 
-  // Channels split by (predicate, sign); tuples are sorted and
-  // atom-id-addressable.
+  // Channels split by (predicate, sign), in first-staged order; tuples
+  // are sorted and atom-id-addressable.
+  ASSERT_EQ(store.deltas().size(), 2u);
+  EXPECT_EQ(store.deltas()[0].predicate, program.atom(0).predicate);
+  EXPECT_TRUE(store.deltas()[0].positive);
+  EXPECT_EQ(store.deltas()[0].table.NumRows(), positives);
+  EXPECT_FALSE(store.deltas()[1].positive);
   size_t delta_rows = 0;
   for (const FactStore::Delta& delta : store.deltas()) {
     delta_rows += delta.table.NumRows();
     for (size_t row = 0; row + 1 < delta.table.NumRows(); ++row) {
-      EXPECT_LE(delta.table.Term(row, 0), delta.table.Term(row + 1, 0));
+      EXPECT_LT(delta.table.Term(row, 0), delta.table.Term(row + 1, 0));
     }
     for (size_t row = 0; row < delta.table.NumRows(); ++row) {
       const Atom& atom = program.atom(delta.table.atom_id(row));
@@ -241,18 +135,29 @@ TEST(FactStoreTest, StageCommitRoundTrip) {
   }
   EXPECT_EQ(delta_rows, committed);
 
-  const PredicateTable* birds =
-      store.Find(program.atom(0).predicate, /*positive=*/true);
-  ASSERT_NE(birds, nullptr);
-  EXPECT_EQ(birds->NumRows(), positives);
-
   // Round 2: nothing staged -> empty commit, no deltas.
   EXPECT_EQ(store.Commit(), 0u);
   EXPECT_TRUE(store.deltas().empty());
+}
 
-  // Absent channel.
-  EXPECT_EQ(store.Find(program.atom(0).predicate, /*positive=*/false),
-            nullptr);
+TEST(FactStoreTest, MixedAritiesGetSeparateChannels) {
+  // One predicate symbol at two arities: each arity is its own channel,
+  // so a row never reads past its atom's argument list.
+  const GroundProgram program = GroundText(R"(
+    component c { p(a, b). p(a). q. }
+  )");
+  FactStore store(program);
+  for (GroundAtomId atom = 0; atom < program.NumAtoms(); ++atom) {
+    store.Stage(GroundLiteral{atom, true});
+  }
+  EXPECT_EQ(store.Commit(), program.NumAtoms());
+  ASSERT_EQ(store.deltas().size(), 3u);
+  for (const FactStore::Delta& delta : store.deltas()) {
+    ASSERT_EQ(delta.table.NumRows(), 1u);
+    const Atom& atom = program.atom(delta.table.atom_id(0));
+    EXPECT_EQ(atom.predicate, delta.predicate);
+    EXPECT_EQ(delta.table.arity(), atom.args.size());
+  }
 }
 
 }  // namespace

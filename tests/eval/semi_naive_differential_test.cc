@@ -1,7 +1,8 @@
 // The semi-naive, set-at-a-time evaluator must agree literal-for-literal
 // with the worklist engine and the round-based V operator (all three
 // compute V∞(∅), Definition 4 / Theorem 1b) — on the paper programs, on
-// the .olp testdata corpus, and on random ordered programs — including
+// the .olp testdata corpus, on random ground ordered programs, and on
+// grounded random non-ground Datalog programs — including
 // warm-started ComputeFrom runs and cancellation (docs/EVALUATION.md).
 
 #include <filesystem>
@@ -13,9 +14,7 @@
 #include "core/least_model.h"
 #include "core/v_operator.h"
 #include "eval/evaluator.h"
-#include "eval/fused.h"
 #include "eval/semi_naive.h"
-#include "ground/families.h"
 #include "ground/grounder.h"
 #include "gtest/gtest.h"
 #include "support/paper_programs.h"
@@ -27,7 +26,6 @@ namespace {
 
 using ::ordlog::testing::GroundText;
 using ::ordlog::testing::MakeInterpretation;
-using ::ordlog::testing::ParseText;
 using ::ordlog::testing::RandomDatalogOptions;
 using ::ordlog::testing::RandomDatalogProgram;
 using ::ordlog::testing::RandomGroundProgram;
@@ -202,181 +200,20 @@ TEST(SemiNaiveDifferentialTest, CancellationAndDeadlines) {
   EXPECT_EQ(ok->NumAssigned(), 4097u);
 }
 
-// Three-way oracle: grounds `program` and checks that the grounding-fused
-// engine agrees literal-for-literal with the worklist and the ground
-// semi-naive engines on every view, that its delta-tuple invariant holds,
-// and that the strategy dispatcher routes kFused to it. When
-// `require_eligible` is false, an inexpressible program instead checks
-// the dispatcher's fall-back path.
-void ExpectFusedIdentical(OrderedProgram& program, const std::string& label,
-                          bool require_eligible = true) {
-  ASSERT_TRUE(program.Finalize().ok()) << label;
-  StatusOr<GroundProgram> ground_or =
-      Grounder::Ground(program, GrounderOptions{});
-  ASSERT_TRUE(ground_or.ok()) << label << ": "
-                              << ground_or.status().ToString();
-  const GroundProgram& ground = *ground_or;
-  const FamilySet families = FamilySet::Extract(program);
-  if (!families.eligible()) {
-    ASSERT_FALSE(require_eligible)
-        << label << ": " << families.ineligible_reason();
-    for (ComponentId view = 0; view < ground.NumComponents(); ++view) {
-      const LeastModelEvaluator facade(&families, ground, view,
-                                       {.strategy = EvalStrategy::kFused});
-      EXPECT_FALSE(facade.fused_active());
-      EXPECT_EQ(facade.Compute(), ComputeLeastModel(ground, view)) << label;
-    }
-    return;
-  }
-  for (ComponentId view = 0; view < ground.NumComponents(); ++view) {
-    const Interpretation worklist = ComputeLeastModel(ground, view);
-    const Interpretation semi_naive =
-        SemiNaiveEvaluator(ground, view).Compute();
-    const FusedEvaluator fused(families, view);
-    ASSERT_TRUE(fused.eligible()) << fused.ineligible_reason();
-    const StatusOr<Interpretation> model = fused.Compute(ground, nullptr);
-    ASSERT_TRUE(model.ok()) << label << ": " << model.status().ToString();
-    EXPECT_EQ(*model, worklist)
-        << label << " view " << ground.component_name(view) << "\nfused "
-        << model->ToString(ground) << "\nref   " << worklist.ToString(ground);
-    EXPECT_EQ(*model, semi_naive) << label << " view " << view;
-    // Every derived literal is committed into exactly one round's delta.
-    EXPECT_EQ(fused.last_stats().delta_tuples, model->NumAssigned()) << label;
-    const LeastModelEvaluator facade(&families, ground, view,
-                                     {.strategy = EvalStrategy::kFused});
-    EXPECT_TRUE(facade.fused_active()) << facade.fused_fallback_reason();
-    EXPECT_EQ(facade.Compute(), worklist) << label << " view " << view;
-    EXPECT_EQ(facade.last_stats().delta_tuples, worklist.NumAssigned())
-        << label;
-  }
-}
-
-// Re-expresses a ground propositional program as an OrderedProgram (each
-// ground rule verbatim in its component, the closed order re-declared),
-// so the random-program corpus also drives the fused engine.
-OrderedProgram ToOrderedProgram(const GroundProgram& ground) {
-  OrderedProgram program(ground.shared_pool());
-  for (ComponentId c = 0;
-       c < static_cast<ComponentId>(ground.NumComponents()); ++c) {
-    EXPECT_TRUE((program.AddComponent(ground.component_name(c))).ok());
-  }
-  for (size_t r = 0; r < ground.NumRules(); ++r) {
-    const GroundRule& source = ground.rule(r);
-    Rule rule;
-    rule.head = Literal{ground.atom(source.head.atom), source.head.positive};
-    for (const GroundLiteral& literal : source.body) {
-      rule.body.push_back(Literal{ground.atom(literal.atom),
-                                  literal.positive});
-    }
-    EXPECT_TRUE((program.AddRule(source.component, std::move(rule))).ok());
-  }
-  for (ComponentId a = 0;
-       a < static_cast<ComponentId>(ground.NumComponents()); ++a) {
-    for (ComponentId b = 0;
-         b < static_cast<ComponentId>(ground.NumComponents()); ++b) {
-      if (ground.Less(a, b)) EXPECT_TRUE((program.AddOrder(a, b)).ok());
-    }
-  }
-  return program;
-}
-
-TEST(FusedDifferentialTest, PaperPrograms) {
-  for (const std::string_view source :
-       {testing::kFig1Penguin, testing::kFig1Flattened, testing::kFig2Mimmo,
-        testing::kFig3LoanBase, testing::kExample3P3, testing::kExample4P4,
-        testing::kExample4P4Closed, testing::kExample5P5,
-        testing::kExample6Ancestor, testing::kExample8Birds,
-        testing::kExample9Colors}) {
-    OrderedProgram program = ParseText(source);
-    ExpectFusedIdentical(program, std::string(source, 0, 24));
-  }
-}
-
-TEST(FusedDifferentialTest, TestdataCorpus) {
-  size_t files = 0;
-  for (const auto& entry :
-       std::filesystem::directory_iterator(ORDLOG_TESTDATA_DIR)) {
-    if (entry.path().extension() != ".olp") continue;
-    std::ifstream in(entry.path());
-    std::ostringstream text;
-    text << in.rdbuf();
-    OrderedProgram program = ParseText(text.str());
-    // Testdata may exercise constructs outside the fused fragment
-    // (compound terms with variables); those check the fall-back path.
-    ExpectFusedIdentical(program, entry.path().filename().string(),
-                         /*require_eligible=*/false);
-    ++files;
-  }
-  EXPECT_GE(files, 4u);
-}
-
-// The same 100 random seeds as the semi-naive property suite, through
-// the fused engine: random ground ordered programs re-expressed as
-// source programs, plus random non-ground Datalog programs with
-// variables, constants, and comparison constraints.
-class FusedPropertyTest : public ::testing::TestWithParam<uint32_t> {};
-
-TEST_P(FusedPropertyTest, MatchesGroundEnginesOnRandomPrograms) {
-  std::mt19937 rng(GetParam());
-  RandomProgramOptions options;
-  options.num_atoms = 7;
-  options.num_components = 4;
-  options.num_rules = 18;
-  const GroundProgram ground = RandomGroundProgram(rng, options);
-  OrderedProgram program = ToOrderedProgram(ground);
-  ExpectFusedIdentical(program, "ground seed " + std::to_string(GetParam()));
-
-  std::mt19937 datalog_rng(GetParam() ^ 0x51ed2701u);
-  RandomDatalogOptions datalog;
-  OrderedProgram non_ground = RandomDatalogProgram(datalog_rng, datalog);
-  ExpectFusedIdentical(non_ground,
-                       "datalog seed " + std::to_string(GetParam()));
-}
-
-INSTANTIATE_TEST_SUITE_P(RandomSeeds, FusedPropertyTest,
-                         ::testing::Range(1u, 101u));
-
-TEST(FusedDifferentialTest, WarmStartAndConflictingSeed) {
-  OrderedProgram program = ParseText(R"(
-    component c {
-      edge(a, b). edge(b, c). edge(c, d).
-      path(X, Y) :- edge(X, Y).
-      path(X, Z) :- edge(X, Y), path(Y, Z).
-    }
-  )");
+// The same 100 seeds over random non-ground Datalog programs (variables,
+// constants, comparison constraints), grounded and then checked like the
+// ground corpus: semi-naive == worklist == V operator on every view.
+TEST_P(SemiNaivePropertyTest, MatchesVOperatorOnRandomDatalogPrograms) {
+  std::mt19937 rng(GetParam() ^ 0x51ed2701u);
+  OrderedProgram program = RandomDatalogProgram(rng, RandomDatalogOptions{});
   ASSERT_TRUE(program.Finalize().ok());
-  const GroundProgram ground =
-      Grounder::Ground(program, GrounderOptions{}).value();
-  const FamilySet families = FamilySet::Extract(program);
-  ASSERT_TRUE(families.eligible()) << families.ineligible_reason();
-  const FusedEvaluator fused(families, 0);
-  ASSERT_TRUE(fused.eligible());
-  const Interpretation cold = ComputeLeastModel(ground, 0);
-
-  // Any subset of the least model resumes to the identical fixpoint.
-  Interpretation subset = Interpretation::ForProgram(ground);
-  size_t kept = 0;
-  for (const GroundLiteral& literal : cold.Literals()) {
-    if (++kept % 2 == 0) ASSERT_TRUE(subset.Add(literal));
-  }
-  for (const Interpretation* seed :
-       {static_cast<const Interpretation*>(&subset), &cold}) {
-    const StatusOr<Interpretation> warm =
-        fused.ComputeFrom(ground, *seed, nullptr);
-    ASSERT_TRUE(warm.ok()) << warm.status().ToString();
-    EXPECT_EQ(*warm, cold);
-  }
-
-  // A seed outside V∞(∅) conflicts; kInvalidArgument, like the ground
-  // engines (the caller then recomputes cold).
-  const Interpretation bad = MakeInterpretation(ground, {"-path(a, b)"});
-  const StatusOr<Interpretation> rejected =
-      fused.ComputeFrom(ground, bad, nullptr);
-  ASSERT_FALSE(rejected.ok());
-  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
+  const StatusOr<GroundProgram> ground =
+      Grounder::Ground(program, GrounderOptions{});
+  ASSERT_TRUE(ground.ok()) << ground.status().ToString();
+  ExpectIdenticalModels(*ground, "datalog seed " + std::to_string(GetParam()));
 }
 
-TEST(FusedDifferentialTest, OversizedSeedIsRejectedByAllEngines) {
+TEST(SemiNaiveDifferentialTest, OversizedSeedIsRejectedByAllEngines) {
   // A seed sized for a *larger* atom universe than the program's is
   // stale (a full reground renumbered the atoms); every engine must
   // reject it as kInvalidArgument instead of indexing out of bounds.
@@ -394,56 +231,6 @@ TEST(FusedDifferentialTest, OversizedSeedIsRejectedByAllEngines) {
       LeastModelComputer(program, 0).ComputeFrom(oversized, nullptr);
   ASSERT_FALSE(worklist.ok());
   EXPECT_EQ(worklist.status().code(), StatusCode::kInvalidArgument);
-
-  OrderedProgram source = ParseText("component c { p. q :- p. }");
-  ASSERT_TRUE(source.Finalize().ok());
-  const GroundProgram reground =
-      Grounder::Ground(source, GrounderOptions{}).value();
-  const FamilySet families = FamilySet::Extract(source);
-  ASSERT_TRUE(families.eligible());
-  Interpretation oversized2(reground.NumAtoms() + 8);
-  ASSERT_TRUE(oversized2.Add(GroundLiteral{
-      static_cast<GroundAtomId>(reground.NumAtoms() + 3), true}));
-  const StatusOr<Interpretation> fused =
-      FusedEvaluator(families, 0).ComputeFrom(reground, oversized2, nullptr);
-  ASSERT_FALSE(fused.ok());
-  EXPECT_EQ(fused.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST(FusedDifferentialTest, CancellationPropagates) {
-  std::ostringstream source;
-  source << "component c {\n  edge(n0, n1).\n";
-  for (int i = 1; i < 200; ++i) {
-    source << "  edge(n" << i << ", n" << i + 1 << ").\n";
-  }
-  source << "  path(X, Y) :- edge(X, Y).\n"
-         << "  path(X, Z) :- edge(X, Y), path(Y, Z).\n}\n";
-  OrderedProgram program = ParseText(source.str());
-  ASSERT_TRUE(program.Finalize().ok());
-  const FamilySet families = FamilySet::Extract(program);
-  ASSERT_TRUE(families.eligible());
-  const FusedEvaluator fused(families, 0);
-  CancelToken cancelled;
-  cancelled.Cancel();
-  const StatusOr<uint64_t> after_cancel =
-      fused.ComputeStandalone(&cancelled);
-  ASSERT_FALSE(after_cancel.ok());
-  EXPECT_EQ(after_cancel.status().code(), StatusCode::kCancelled);
-  // Unconstrained, the standalone fixpoint reports the model size:
-  // 200 edges + 200*201/2 paths.
-  const StatusOr<uint64_t> ok = fused.ComputeStandalone(nullptr);
-  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
-  EXPECT_EQ(*ok, 200u + 200u * 201u / 2u);
-}
-
-TEST(FusedDifferentialTest, FacadeFallsBackWithoutFamilies) {
-  const GroundProgram program = GroundText(testing::kFig1Penguin);
-  const LeastModelEvaluator facade(program, 0,
-                                   {.strategy = EvalStrategy::kFused});
-  EXPECT_FALSE(facade.fused_active());
-  EXPECT_FALSE(facade.fused_fallback_reason().empty());
-  EXPECT_EQ(facade.Compute(), ComputeLeastModel(program, 0));
-  EXPECT_STREQ(EvalStrategyName(facade.strategy()), "fused");
 }
 
 TEST(SemiNaiveDifferentialTest, StrategyDispatcherRoutesAndReports) {

@@ -4,6 +4,7 @@
 
 #include <random>
 #include <string>
+#include <string_view>
 
 #include "ground/grounder.h"
 #include "gtest/gtest.h"
@@ -82,6 +83,60 @@ TEST(RobustnessTest, DeeplyNestedArithmeticParses) {
   }
   const auto program = ParseProgram("p :- " + expr + " > 0.");
   EXPECT_TRUE(program.ok()) << program.status();
+}
+
+// `count` copies of `unit`.
+std::string Repeat(std::string_view unit, size_t count) {
+  std::string out;
+  out.reserve(unit.size() * count);
+  for (size_t i = 0; i < count; ++i) out += unit;
+  return out;
+}
+
+void ExpectNestingRejected(const Status& status) {
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status;
+  EXPECT_NE(status.message().find("nesting deeper than"), std::string::npos)
+      << status;
+  EXPECT_NE(status.message().find("parse error at 1:"), std::string::npos)
+      << status;
+}
+
+// Hostile nesting, far past any stack: each input is a few hundred KB
+// (under the server's default request body cap) and must come back as a
+// positioned kInvalidArgument, not a stack overflow.
+constexpr size_t kHostileDepth = 100'000;
+
+TEST(RobustnessTest, HostileTermNestingIsAnError) {
+  TermPool pool;
+  const std::string term =
+      Repeat("f(", kHostileDepth) + "a" + Repeat(")", kHostileDepth);
+  ExpectNestingRejected(ParseLiteral("p(" + term + ")", pool).status());
+  ExpectNestingRejected(ParseProgram("p(" + term + ").").status());
+}
+
+TEST(RobustnessTest, HostileUnaryMinusIsAnError) {
+  TermPool pool;
+  ExpectNestingRejected(
+      ParseRule("p :- " + Repeat("-", kHostileDepth) + "1 > 0", pool)
+          .status());
+}
+
+TEST(RobustnessTest, HostileParenthesesAreAnError) {
+  TermPool pool;
+  ExpectNestingRejected(
+      ParseRule("p :- " + Repeat("(", kHostileDepth) + "1" +
+                    Repeat(")", kHostileDepth) + " > 0",
+                pool)
+          .status());
+}
+
+TEST(RobustnessTest, HostileOperatorChainIsAnError) {
+  // A flat chain parses iteratively but builds a left-deep tree as deep as
+  // it is long, which every later pass over the expression recurses into.
+  TermPool pool;
+  ExpectNestingRejected(
+      ParseRule("p :- 1" + Repeat(" + 1", kHostileDepth) + " > 0", pool)
+          .status());
 }
 
 }  // namespace

@@ -191,7 +191,6 @@ TEST(EngineMetricsTest, EveryDocumentedFamilyRendersAfterMixedOutcomes) {
       {"ordlog_eval_rounds_total", "counter", {"ordlog_eval_rounds_total "}},
       {"ordlog_eval_delta_tuples_total", "counter",
        {"ordlog_eval_delta_tuples_total "}},
-      {"ordlog_eval_fused_total", "counter", {"ordlog_eval_fused_total "}},
       // Every query is head-sampled; the two failed ones commit too.
       {"ordlog_span_traces_total", "counter",
        {"ordlog_span_traces_total{reason=\"sampled\"} 5\n"}},

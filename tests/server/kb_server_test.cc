@@ -526,6 +526,36 @@ TEST_F(KbServerTest, MutationsSurviveServerRestart) {
   EXPECT_TRUE(Contains(response.body, "\"truth\":\"false\""));
 }
 
+TEST_F(KbServerTest, HostileNestingIsRejectedAndReplaySkipsIt) {
+  // A 100k-deep term is logged to the WAL before the apply step parses
+  // it; it must be a 400 live and a skipped op on replay, never a crash
+  // (which the replay would repeat on every restart).
+  std::string term;
+  for (int i = 0; i < 100'000; ++i) term += "f(";
+  term += "a";
+  term.append(100'000, ')');
+  {
+    KbServer server(Options());
+    SeedOrderedKb(server, "zoo");
+    const HttpResponse response = server.Handle(
+        Post("/v1/zoo/mutate",
+             R"json({"ops":[{"op":"add_fact","module":"animals","text":"bird()json" +
+                 term + R"json()"}]})json"));
+    EXPECT_EQ(response.code, 400) << response.body.substr(0, 200);
+    EXPECT_TRUE(Contains(response.body, "nesting deeper than"));
+  }
+  KbServer server(Options());
+  const HttpResponse created =
+      server.Handle(Post("/v1/admin/create", "{\"tenant\":\"zoo\"}"));
+  ASSERT_EQ(created.code, 200) << created.body;
+  EXPECT_TRUE(Contains(created.body, "\"recovered\":true"));
+  const HttpResponse response = server.Handle(
+      Post("/v1/zoo/query",
+           R"json({"module":"antarctic","literal":"fly(pingu)"})json"));
+  ASSERT_EQ(response.code, 200) << response.body;
+  EXPECT_TRUE(Contains(response.body, "\"truth\":\"false\""));
+}
+
 TEST_F(KbServerTest, RecoverAllFindsTenantsOnStartup) {
   {
     KbServer server(Options());
