@@ -10,6 +10,12 @@ deep gadget workload. The series runs UseRealTime + MeasureProcessCPUTime,
 so the rows carry a `/process_time/real_time` suffix; real_time is the
 wall clock the gate compares, cpu_time records total work for the log.
 
+Every row must also report the same answer: a `stable_models` counter of
+1024 (2^10, the stable models of the 10-gadget workload). A row that
+misses the counter or reports another count fails the check on any
+machine and also under --warn-only, because a wrong answer is not runner
+noise and a fast wrong search must not pass the speed gate.
+
 The gate SKIPS (exit 0) when the benchmark machine reports fewer than 4
 CPUs in the report's context — a 4-way search cannot beat sequential on
 one core, and the identity of the result set is already enforced
@@ -28,6 +34,7 @@ REPORT = pathlib.Path("build/BENCH_ablation_solver.json")
 BENCH = "BM_Solver_Parallel_DeepSearch"
 MIN_CPUS = 4
 MIN_SPEEDUP = float(os.environ.get("ORDLOG_PARALLEL_MIN_SPEEDUP", "1.8"))
+EXPECTED_STABLE_MODELS = 1024
 
 
 def fail(message, warn_only):
@@ -41,14 +48,6 @@ def main():
     if not REPORT.exists():
         fail("%s not found (run scripts/check.sh first)" % REPORT, warn_only)
     report = json.loads(REPORT.read_text())
-
-    num_cpus = report.get("context", {}).get("num_cpus", 0)
-    if num_cpus < MIN_CPUS:
-        print("check_parallel_scaling: SKIP: machine has %d CPUs (< %d); "
-              "a %d-thread search cannot scale here. Result-set identity "
-              "is still enforced by tests/runtime/parallel_search_test."
-              % (num_cpus, MIN_CPUS, MIN_CPUS))
-        sys.exit(0)
 
     # Row names look like "BM_Solver_Parallel_DeepSearch/4/process_time/
     # real_time" (UseRealTime + MeasureProcessCPUTime add the suffixes).
@@ -66,6 +65,22 @@ def main():
             continue
         times[threads] = bench
 
+    wrong = ["%d threads: %s" % (threads, times[threads].get("stable_models"))
+             for threads in sorted(times)
+             if times[threads].get("stable_models") != EXPECTED_STABLE_MODELS]
+    if wrong:
+        fail("%s must report stable_models=%d on every row, got %s"
+             % (BENCH, EXPECTED_STABLE_MODELS, ", ".join(wrong)),
+             warn_only=False)
+
+    num_cpus = report.get("context", {}).get("num_cpus", 0)
+    if num_cpus < MIN_CPUS:
+        print("check_parallel_scaling: SKIP: machine has %d CPUs (< %d); "
+              "a %d-thread search cannot scale here. Result-set identity "
+              "is still enforced by tests/runtime/parallel_search_test."
+              % (num_cpus, MIN_CPUS, MIN_CPUS))
+        sys.exit(0)
+
     if 1 not in times or MIN_CPUS not in times:
         fail("missing %s rows for 1 and %d threads (found threads=%s)"
              % (BENCH, MIN_CPUS, sorted(times)), warn_only)
@@ -73,10 +88,11 @@ def main():
     for threads in sorted(times):
         row = times[threads]
         print("  %2d threads: real_time=%.3f ms  cpu_time=%.3f ms  "
-              "subtrees=%d steals=%d"
+              "subtrees=%d steals=%d stable_models=%d"
               % (threads, row.get("real_time", 0.0) / 1e6,
                  row.get("cpu_time", 0.0) / 1e6,
-                 int(row.get("subtrees", 0)), int(row.get("steals", 0))))
+                 int(row.get("subtrees", 0)), int(row.get("steals", 0)),
+                 int(row.get("stable_models", 0))))
 
     base = times[1].get("real_time", 0.0)
     par = times[MIN_CPUS].get("real_time", 0.0)

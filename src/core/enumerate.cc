@@ -1,5 +1,7 @@
 #include "core/enumerate.h"
 
+#include <algorithm>
+
 #include "base/strings.h"
 
 namespace ordlog {
@@ -66,18 +68,39 @@ StatusOr<std::vector<Interpretation>> BruteForceEnumerator::TotalModels()
 
 std::vector<Interpretation> FilterMaximal(
     std::vector<Interpretation> candidates) {
-  std::vector<bool> dominated(candidates.size(), false);
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    for (size_t j = 0; j < candidates.size(); ++j) {
-      if (i != j && candidates[i].IsProperSubsetOf(candidates[j])) {
-        dominated[i] = true;
-        break;
-      }
+  // A proper superset assigns strictly more literals. Visiting the
+  // candidates by descending size therefore reaches every proper superset
+  // of a candidate before the candidate itself, and some maximal one among
+  // them has been kept by then. So each candidate is compared only with
+  // the kept models that are strictly larger, for which ⊆ already means ⊊.
+  const size_t n = candidates.size();
+  std::vector<size_t> sizes(n);
+  std::vector<size_t> order(n);
+  for (size_t i = 0; i < n; ++i) {
+    sizes[i] = candidates[i].NumAssigned();
+    order[i] = i;
+  }
+  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    return sizes[a] > sizes[b];
+  });
+  std::vector<const Interpretation*> kept;
+  std::vector<bool> keep(n, false);
+  size_t larger = 0;  // kept[0, larger) are strictly larger than order[k]
+  for (size_t k = 0; k < n; ++k) {
+    const size_t i = order[k];
+    if (k > 0 && sizes[i] < sizes[order[k - 1]]) larger = kept.size();
+    bool dominated = false;
+    for (size_t j = 0; j < larger && !dominated; ++j) {
+      dominated = candidates[i].IsSubsetOf(*kept[j]);
     }
+    if (dominated) continue;
+    keep[i] = true;
+    kept.push_back(&candidates[i]);
   }
   std::vector<Interpretation> maximal;
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    if (!dominated[i]) maximal.push_back(std::move(candidates[i]));
+  maximal.reserve(kept.size());
+  for (size_t i = 0; i < n; ++i) {
+    if (keep[i]) maximal.push_back(std::move(candidates[i]));
   }
   return maximal;
 }

@@ -52,7 +52,9 @@ class BruteForceEnumerator {
   std::vector<GroundAtomId> base_;  // the view's Herbrand base, as a list
 };
 
-// Keeps only the ⊆-maximal interpretations of `candidates`.
+// Keeps only the ⊆-maximal interpretations of `candidates`, in input
+// order. The input may come in any order; equal duplicates are all kept.
+// O(n·k) subset tests for n candidates and k maximal ones.
 std::vector<Interpretation> FilterMaximal(
     std::vector<Interpretation> candidates);
 

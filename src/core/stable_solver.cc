@@ -1,11 +1,12 @@
 #include "core/stable_solver.h"
 
 #include <atomic>
+#include <limits>
 #include <mutex>
+#include <span>
 #include <utility>
 
 #include "base/strings.h"
-#include "core/enumerate.h"
 #include "core/least_model.h"
 
 #include "core/solver_trace.h"
@@ -18,6 +19,17 @@ namespace {
 StableSolverOptions ClampStableOptions(StableSolverOptions options) {
   if (options.cancel_check_interval == 0) options.cancel_check_interval = 1;
   return options;
+}
+
+// True when some model in `kept` is a proper superset of `model`. Newest
+// first: in search order the models kept last share the longest branch
+// prefix with the next leaf, so a superset tends to sit there.
+bool HasProperSuperset(const Interpretation& model,
+                       std::span<const Interpretation> kept) {
+  for (size_t j = kept.size(); j-- > 0;) {
+    if (model.IsProperSubsetOf(kept[j])) return true;
+  }
+  return false;
 }
 
 // Frontier subtrees per search thread. More than 1 so that uneven subtree
@@ -145,33 +157,37 @@ size_t StableModelSolver::ResolvedThreads() const {
 
 StatusOr<std::vector<Interpretation>>
 StableModelSolver::AssumptionFreeModels(StableSolverStats* stats) const {
-  StableSolverStats local;
-  const bool parallel = ResolvedThreads() > 1 &&
-                        branch_.size() >= options_.parallel_min_branch;
-  StatusOr<std::vector<Interpretation>> result =
-      parallel ? ParallelModels(local) : SequentialModels(local);
-  if (stats != nullptr) *stats = local;
-  return result;
+  return Models(/*maximal=*/false, stats);
 }
 
 StatusOr<std::vector<Interpretation>> StableModelSolver::StableModels(
     StableSolverStats* stats) const {
-  ORDLOG_ASSIGN_OR_RETURN(std::vector<Interpretation> models,
-                          AssumptionFreeModels(stats));
-  return FilterMaximal(std::move(models));
+  return Models(/*maximal=*/true, stats);
+}
+
+StatusOr<std::vector<Interpretation>> StableModelSolver::Models(
+    bool maximal, StableSolverStats* stats) const {
+  StableSolverStats local;
+  const bool parallel = ResolvedThreads() > 1 &&
+                        branch_.size() >= options_.parallel_min_branch;
+  StatusOr<std::vector<Interpretation>> result =
+      parallel ? ParallelModels(maximal, local)
+               : SequentialModels(maximal, local);
+  if (stats != nullptr) *stats = local;
+  return result;
 }
 
 StatusOr<std::vector<Interpretation>> StableModelSolver::SequentialModels(
-    StableSolverStats& stats) const {
+    bool maximal, StableSolverStats& stats) const {
   std::vector<Interpretation> results;
   Interpretation candidate = seed_;
-  SearchEnv env{results, stats};
+  SearchEnv env{results, stats, maximal, options_.max_models};
   ORDLOG_RETURN_IF_ERROR(Search(0, candidate, env));
   return results;
 }
 
 StatusOr<std::vector<Interpretation>> StableModelSolver::ParallelModels(
-    StableSolverStats& stats) const {
+    bool maximal, StableSolverStats& stats) const {
   if (options_.max_models == 0) return std::vector<Interpretation>{};
 
   // Phase 1 — deterministic frontier: expand the branch tree breadth-first
@@ -249,14 +265,57 @@ StatusOr<std::vector<Interpretation>> StableModelSolver::ParallelModels(
   std::atomic<size_t> next_subtree{0};
   std::atomic<size_t> steals{0};
 
+  // A subtree may stop at max_models models of its own only when none of
+  // them can be dropped by the merge, i.e. when no earlier subtree can
+  // hold a strict superset of one. Such a superset differs first at a
+  // frontier atom that the subtree's root leaves undefined, so a root
+  // that decides every frontier atom is safe. Other subtrees run until
+  // done or cancelled.
+  const auto subtree_cap = [&](const Interpretation& root) {
+    if (maximal) {
+      for (size_t l = 0; l < level; ++l) {
+        if (root.Truth(branch_[l]) == TruthValue::kUndefined) {
+          return std::numeric_limits<size_t>::max();
+        }
+      }
+    }
+    return options_.max_models;
+  };
+
+  // Phase 3 — ordered merge, run as the gap-free prefix of completed
+  // subtrees grows: their results join `models` in frontier
+  // (= sequential DFS) order, up to max_models. For stable models each
+  // subtree has already dropped the leaves that one of its own kept
+  // models strictly contains; the merge drops those that a model of an
+  // earlier subtree strictly contains. A later subtree never holds a
+  // strict superset of an earlier model (same argument as in Search), so
+  // `models` is final as it grows and counts stable models exactly.
+  //
   // First-winner bookkeeping: cancelling the remaining subtrees is only
-  // sound once a gap-free prefix of completed subtrees already holds
-  // max_models models — then everything abandoned lies beyond the merge
-  // cut, so the returned set still equals the sequential one.
+  // sound once the prefix already holds max_models models or has failed —
+  // then everything abandoned lies beyond the merge cut, so the returned
+  // set (or error) still equals the sequential one.
   std::mutex prefix_mutex;
   std::vector<uint8_t> done(subtree_count, 0);
   size_t done_prefix = 0;
-  size_t prefix_models = 0;
+  std::vector<Interpretation> models;
+  Status prefix_status = Status::Ok();
+  size_t merge_dominated = 0;
+  const auto merge_next = [&] {
+    if (!prefix_status.ok() || models.size() >= options_.max_models) return;
+    prefix_status = sub_status[done_prefix];
+    if (!prefix_status.ok()) return;
+    const size_t earlier = models.size();
+    for (Interpretation& model : sub_results[done_prefix]) {
+      if (models.size() >= options_.max_models) break;
+      if (maximal && HasProperSuperset(model, std::span<const Interpretation>(
+                                                  models.data(), earlier))) {
+        ++merge_dominated;
+        continue;
+      }
+      models.push_back(std::move(model));
+    }
+  };
 
   const auto run_worker = [&](bool helper) {
     for (;;) {
@@ -268,18 +327,18 @@ StatusOr<std::vector<Interpretation>> StableModelSolver::ParallelModels(
       } else {
         if (helper) steals.fetch_add(1, std::memory_order_relaxed);
         Interpretation candidate = frontier[index];
-        SearchEnv env{sub_results[index], sub_stats[index], &shared_nodes,
-                      &winner};
+        SearchEnv env{sub_results[index], sub_stats[index], maximal,
+                      subtree_cap(candidate), &shared_nodes, &winner};
         sub_status[index] = Search(level, candidate, env);
         if (env.winner_hit) hit_winner[index] = 1;
       }
       std::lock_guard<std::mutex> lock(prefix_mutex);
       done[index] = 1;
       while (done_prefix < subtree_count && done[done_prefix] != 0) {
-        prefix_models += sub_results[done_prefix].size();
+        merge_next();
         ++done_prefix;
       }
-      if (prefix_models >= options_.max_models) {
+      if (models.size() >= options_.max_models || !prefix_status.ok()) {
         winner.store(true, std::memory_order_relaxed);
       }
     }
@@ -293,28 +352,16 @@ StatusOr<std::vector<Interpretation>> StableModelSolver::ParallelModels(
   group.Join();  // after this no helper runs — locals are safe
 
   stats.steals = steals.load(std::memory_order_relaxed);
+  stats.dominated = merge_dominated;
   for (size_t i = 0; i < subtree_count; ++i) {
     stats.Merge(sub_stats[i]);
     if (hit_winner[i] != 0) ++stats.cancelled_subtrees;
   }
-
-  // Phase 3 — ordered merge: concatenate per-subtree results in frontier
-  // (= sequential DFS) order and truncate at max_models. Any subtree at or
-  // beyond the point where the cut falls was fully explored before the
-  // winner flag could be set (the flag requires a completed prefix holding
-  // max_models), so cancelled or failed subtrees are never part of the
-  // returned prefix; their errors are dropped exactly like the sequential
-  // search never reaching them.
-  std::vector<Interpretation> results;
-  for (size_t i = 0; i < subtree_count; ++i) {
-    if (results.size() >= options_.max_models) break;
-    ORDLOG_RETURN_IF_ERROR(sub_status[i]);
-    for (Interpretation& model : sub_results[i]) {
-      results.push_back(std::move(model));
-      if (results.size() >= options_.max_models) break;
-    }
-  }
-  return results;
+  // Every subtree is done and merged. Cancelled or failed subtrees beyond
+  // the cut never reached `models`; their errors are dropped exactly like
+  // the sequential search never reaching them.
+  ORDLOG_RETURN_IF_ERROR(prefix_status);
+  return models;
 }
 
 Status StableModelSolver::Search(size_t level, Interpretation& candidate,
@@ -340,12 +387,22 @@ Status StableModelSolver::Search(size_t level, Interpretation& candidate,
     env.winner_hit = true;  // another subtree prefix already has the answer
     return Status::Ok();
   }
-  if (env.results.size() >= options_.max_models) return Status::Ok();
+  if (env.results.size() >= env.cap) return Status::Ok();
   const uint64_t node = env.stats.nodes;  // this invocation's search-node id
   if (level == branch_.size()) {
     const bool accepted = checker_.IsModel(candidate) &&
                           assumptions_.IsAssumptionFree(candidate);
-    if (accepted) env.results.push_back(candidate);
+    // Leaves come in order true < false < undefined per branch atom, so a
+    // strict superset of this model, which differs first at a branch atom
+    // that this model leaves undefined, was visited earlier; a maximal one
+    // among those is kept. One check against the kept models is exact.
+    if (accepted) {
+      if (env.maximal && HasProperSuperset(candidate, env.results)) {
+        ++env.stats.dominated;
+      } else {
+        env.results.push_back(candidate);
+      }
+    }
     ++env.stats.leaves;
     solver_trace::Emit(options_.trace, TraceEventKind::kSolverLeaf, view_,
                        node, accepted ? 1 : 0, 0, 0);

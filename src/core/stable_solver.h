@@ -19,7 +19,9 @@ struct StableSolverOptions {
   // parallel search the budget is global: every subtree draws from one
   // shared counter.
   size_t node_budget = 50'000'000;
-  // Stop after this many assumption-free models have been found.
+  // Stop after this many models: stable models for StableModels,
+  // assumption-free models for AssumptionFreeModels. A capped result is a
+  // prefix of the uncapped one, at every thread count.
   size_t max_models = 1'000'000;
   // Prune subtrees whose partial assignment already certainly violates
   // Definition 3 in every completion (sound; see Search). Disable only to
@@ -66,6 +68,8 @@ struct StableSolverStats {
   size_t prunes = 0;      // subtrees cut by ExtensionPossible
   size_t leaves = 0;      // full candidates checked against Def. 3/7
   size_t backtracks = 0;  // exhausted branch atoms
+  // Assumption-free models dropped as non-maximal (StableModels only).
+  size_t dominated = 0;
   // Parallel-search shape (all zero on the sequential path).
   size_t subtrees = 0;    // frontier subtree tasks executed
   size_t steals = 0;      // subtrees executed by executor helpers
@@ -78,6 +82,7 @@ struct StableSolverStats {
     prunes += other.prunes;
     leaves += other.leaves;
     backtracks += other.backtracks;
+    dominated += other.dominated;
     subtrees += other.subtrees;
     steals += other.steals;
     cancelled_subtrees += other.cancelled_subtrees;
@@ -117,17 +122,22 @@ class StableModelSolver {
   StatusOr<std::vector<Interpretation>> AssumptionFreeModels(
       StableSolverStats* stats = nullptr) const;
 
-  // Maximal assumption-free models.
+  // Maximal assumption-free models (Def. 9), in search order. The search
+  // keeps only leaves that no model kept before them strictly contains;
+  // there is no separate filtering pass.
   StatusOr<std::vector<Interpretation>> StableModels(
       StableSolverStats* stats = nullptr) const;
 
  private:
-  // Everything one (sub)search needs: its own results + stats, the shared
-  // cancellation inputs, and — on the parallel path — the global node
-  // budget and the first-winner flag.
+  // Everything one (sub)search needs: its own results + stats, whether it
+  // keeps only maximal models, its model cap, the shared cancellation
+  // inputs, and — on the parallel path — the global node budget and the
+  // first-winner flag.
   struct SearchEnv {
     std::vector<Interpretation>& results;
     StableSolverStats& stats;
+    bool maximal;  // drop leaves that a kept model strictly contains
+    size_t cap;    // stop once `results` holds this many models
     std::atomic<uint64_t>* shared_nodes = nullptr;  // global node budget
     const std::atomic<bool>* winner = nullptr;      // first-winner cancel
     bool winner_hit = false;  // this subtree observed the winner flag
@@ -139,13 +149,16 @@ class StableModelSolver {
   // Effective parallel thread count (0 resolves to the executor's
   // concurrency; 1 when no executor is configured).
   size_t ResolvedThreads() const;
-  // Sequential driver (today's behavior, bit for bit).
+  // Assumption-free models, or only the maximal ones when `maximal`.
+  StatusOr<std::vector<Interpretation>> Models(bool maximal,
+                                               StableSolverStats* stats) const;
+  // Sequential driver.
   StatusOr<std::vector<Interpretation>> SequentialModels(
-      StableSolverStats& stats) const;
+      bool maximal, StableSolverStats& stats) const;
   // Parallel driver: deterministic frontier split + stealing subtree
   // tasks + ordered merge. Returns exactly SequentialModels' result.
   StatusOr<std::vector<Interpretation>> ParallelModels(
-      StableSolverStats& stats) const;
+      bool maximal, StableSolverStats& stats) const;
 
   // True when atom's value is fixed at this search depth (seeded, forced
   // undefined, or already branched on).

@@ -203,7 +203,7 @@ QueryEngine::QueryEngine(KnowledgeBase& kb, QueryEngineOptions options)
            .GetCounterFamily(
                "ordlog_eval_rounds_total",
                "Semi-naive least-model rounds to fixpoint, summed over "
-               "computations (zero under the worklist strategy).")
+               "computations.")
            .WithLabels();
   eval_delta_tuples_total_ =
       &registry_
@@ -659,6 +659,7 @@ StatusOr<ModelCache::Lookup> QueryEngine::StableModelsFor(
           search_span.AddAttribute("branches", stats.branches);
           search_span.AddAttribute("prunes", stats.prunes);
           search_span.AddAttribute("leaves", stats.leaves);
+          search_span.AddAttribute("dominated", stats.dominated);
           search_span.AddAttribute("backtracks", stats.backtracks);
           search_span.AddAttribute("prefix_shared", prefix.hit ? 1 : 0);
           if (stats.subtrees > 0) {

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -191,9 +192,19 @@ TEST(EngineSpansTest, CountModelsRecordsSearchSpan) {
   const std::optional<TraceRecord> trace =
       engine.trace_store()->Find(answer->trace_id);
   ASSERT_TRUE(trace.has_value());
-  const std::vector<std::string> names = SpanNames(*trace);
-  EXPECT_NE(std::find(names.begin(), names.end(), "search"), names.end())
-      << "missing search span";
+  const auto search =
+      std::find_if(trace->spans.begin(), trace->spans.end(),
+                   [](const Span& span) { return span.name == "search"; });
+  ASSERT_NE(search, trace->spans.end()) << "missing search span";
+  // Example 5 has three assumption-free models in c1; {c} is the one that
+  // is not maximal, and the search span reports it as dominated.
+  std::map<std::string, uint64_t> attributes;
+  for (const SpanAttribute& attribute : search->attributes) {
+    attributes[attribute.key] = attribute.value;
+  }
+  EXPECT_GE(attributes["leaves"], 3u);
+  EXPECT_EQ(attributes.count("dominated"), 1u);
+  EXPECT_EQ(attributes["dominated"], 1u);
 }
 
 }  // namespace

@@ -4,9 +4,13 @@
 // .olp testdata corpus, and a large random-program sweep; first-winner
 // cancellation under max_models must never change the returned prefix;
 // and cancelling a query mid-steal must tear down cleanly (TaskGroup
-// join), never crash or hang. Runs under TSan in CI (docs/RUNTIME.md,
+// join), never crash or hang. The maximality filter that runs inside the
+// search (per subtree and in the ordered merge) is checked against the
+// definition: BruteForceEnumerator, and a quadratic all-pairs filter over
+// the assumption-free models. Runs under TSan in CI (docs/RUNTIME.md,
 // "Parallel stable-model search").
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
@@ -17,6 +21,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/enumerate.h"
 #include "core/stable_solver.h"
 #include "gtest/gtest.h"
 #include "runtime/thread_pool.h"
@@ -29,8 +34,44 @@ namespace {
 
 using ::ordlog::testing::GroundText;
 using ::ordlog::testing::RandomGroundProgram;
+using ::ordlog::testing::RandomInterpretation;
+using ::ordlog::testing::RandomNegativeProgram;
 using ::ordlog::testing::RandomProgramOptions;
+using ::ordlog::testing::RandomSeminegativeProgram;
 using ::ordlog::testing::Render;
+
+// Renders models in list order (testing::Render sorts them).
+std::vector<std::string> InOrder(const GroundProgram& program,
+                                 const std::vector<Interpretation>& models) {
+  std::vector<std::string> rendered;
+  for (const Interpretation& model : models) {
+    rendered.push_back(model.ToString(program));
+  }
+  return rendered;
+}
+
+// Reference maximality filter: every candidate that no other candidate
+// strictly contains, in input order, by comparing all pairs.
+std::vector<Interpretation> QuadraticMaximal(
+    const std::vector<Interpretation>& candidates) {
+  std::vector<Interpretation> maximal;
+  for (const Interpretation& candidate : candidates) {
+    bool dominated = false;
+    for (const Interpretation& other : candidates) {
+      if (candidate.IsProperSubsetOf(other)) dominated = true;
+    }
+    if (!dominated) maximal.push_back(candidate);
+  }
+  return maximal;
+}
+
+// The first `n` models of `models` (all of them when there are fewer).
+std::vector<Interpretation> Prefix(const std::vector<Interpretation>& models,
+                                   size_t n) {
+  return {models.begin(),
+          models.begin() + static_cast<std::ptrdiff_t>(
+                               std::min(n, models.size()))};
+}
 
 // A deep two-level search workload: k independent gadgets from Example 5,
 // 2^k stable models, ~3^k search nodes — enough tree for every subtree
@@ -51,9 +92,10 @@ std::string GadgetProgram(int k) {
 }
 
 // Asserts that parallel search over `pool` with `threads` workers returns
-// exactly the sequential result on every view of `program` — both the
-// assumption-free enumeration and the maximal (stable) filter — and with
-// `max_models` caps exercising first-winner cancellation.
+// exactly the sequential result, in order, on every view of `program` —
+// both the assumption-free enumeration and the stable models, which must
+// equal the all-pairs maximal filter over the assumption-free models —
+// and with `max_models` caps exercising first-winner cancellation.
 void ExpectParallelMatchesSequential(const GroundProgram& program,
                                      ThreadPool& pool, size_t threads,
                                      const std::string& label) {
@@ -71,18 +113,29 @@ void ExpectParallelMatchesSequential(const GroundProgram& program,
     StableSolverStats par_stats;
     const auto par_models = parallel.AssumptionFreeModels(&par_stats);
     ASSERT_TRUE(par_models.ok()) << label << ": " << par_models.status();
-    EXPECT_EQ(Render(program, *par_models), Render(program, *seq_models))
+    EXPECT_EQ(InOrder(program, *par_models), InOrder(program, *seq_models))
         << label << " view " << program.component_name(view) << " threads "
         << threads;
     EXPECT_EQ(par_models->size(), seq_models->size()) << label;
     EXPECT_GE(par_stats.subtrees, 1u) << label << ": parallel path not taken";
     EXPECT_EQ(par_stats.leaves, seq_stats.leaves) << label;
 
-    const auto seq_stable = sequential.StableModels();
-    const auto par_stable = parallel.StableModels();
+    StableSolverStats seq_stable_stats;
+    StableSolverStats par_stable_stats;
+    const auto seq_stable = sequential.StableModels(&seq_stable_stats);
+    const auto par_stable = parallel.StableModels(&par_stable_stats);
     ASSERT_TRUE(seq_stable.ok() && par_stable.ok()) << label;
-    EXPECT_EQ(Render(program, *par_stable), Render(program, *seq_stable))
-        << label << " (maximal filter)";
+    const std::vector<Interpretation> expected_stable =
+        QuadraticMaximal(*seq_models);
+    EXPECT_EQ(InOrder(program, *seq_stable),
+              InOrder(program, expected_stable))
+        << label << " (sequential maximal filter)";
+    EXPECT_EQ(InOrder(program, *par_stable), InOrder(program, *seq_stable))
+        << label << " (parallel maximal filter)";
+    const size_t dominated = seq_models->size() - expected_stable.size();
+    EXPECT_EQ(seq_stable_stats.dominated, dominated) << label;
+    EXPECT_EQ(par_stable_stats.dominated, dominated) << label;
+    EXPECT_EQ(seq_stats.dominated, 0u) << label;
 
     // Every max_models cap must return the identical prefix (this is the
     // first-winner-cancellation soundness condition: only subtrees beyond
@@ -97,9 +150,21 @@ void ExpectParallelMatchesSequential(const GroundProgram& program,
       const auto seq_capped_models =
           StableModelSolver(program, view, seq_capped).AssumptionFreeModels();
       ASSERT_TRUE(par_capped.ok() && seq_capped_models.ok()) << label;
-      EXPECT_EQ(Render(program, *par_capped),
-                Render(program, *seq_capped_models))
+      EXPECT_EQ(InOrder(program, *par_capped),
+                InOrder(program, *seq_capped_models))
           << label << " max_models=" << cap;
+
+      const auto par_capped_stable =
+          StableModelSolver(program, view, capped).StableModels();
+      const auto seq_capped_stable =
+          StableModelSolver(program, view, seq_capped).StableModels();
+      ASSERT_TRUE(par_capped_stable.ok() && seq_capped_stable.ok()) << label;
+      EXPECT_EQ(InOrder(program, *seq_capped_stable),
+                InOrder(program, Prefix(expected_stable, cap)))
+          << label << " stable max_models=" << cap;
+      EXPECT_EQ(InOrder(program, *par_capped_stable),
+                InOrder(program, *seq_capped_stable))
+          << label << " stable max_models=" << cap;
     }
   }
 }
@@ -163,6 +228,155 @@ TEST_P(ParallelSearchPropertyTest, ParallelAgreesWithSequential) {
 
 INSTANTIATE_TEST_SUITE_P(RandomSeeds, ParallelSearchPropertyTest,
                          ::testing::Range(1u, 111u));
+
+// max_models caps stable models: Example5Gadgets(2) has 4 stable models
+// (of 9 assumption-free ones), and each cap 1-4 returns exactly that many,
+// the leading ones of the uncapped list, at every thread count. Four
+// gadgets (16 of 81) leave several models per subtree, so a cap also
+// falls inside a subtree's merged models.
+TEST(ParallelSearchTest, MaxModelsCapsStableModels) {
+  ThreadPool pool(4);
+  for (const int gadgets : {2, 4}) {
+    const GroundProgram program = GroundText(GadgetProgram(gadgets));
+    const ComponentId c1 = 1;
+    const auto uncapped = StableModelSolver(program, c1).StableModels();
+    ASSERT_TRUE(uncapped.ok());
+    const size_t stable = size_t{1} << gadgets;
+    ASSERT_EQ(uncapped->size(), stable);
+    for (const size_t threads :
+         {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
+      for (size_t cap = 1; cap <= stable; ++cap) {
+        StableSolverOptions options;
+        options.max_models = cap;
+        if (threads > 1) {
+          options.executor = &pool;
+          options.search_threads = threads;
+          options.parallel_min_branch = 0;
+        }
+        const auto capped =
+            StableModelSolver(program, c1, options).StableModels();
+        ASSERT_TRUE(capped.ok()) << capped.status();
+        EXPECT_EQ(capped->size(), cap)
+            << gadgets << " gadgets, threads " << threads;
+        EXPECT_EQ(InOrder(program, *capped),
+                  InOrder(program, Prefix(*uncapped, cap)))
+            << gadgets << " gadgets, threads " << threads
+            << " max_models=" << cap;
+      }
+    }
+  }
+}
+
+// The spec oracle for the in-search maximality filter, on every random
+// generator:
+//  * sequential AssumptionFreeModels never lists a model before one of its
+//    proper supersets (the ordering the single-pass filter relies on);
+//  * StableModels at 1/2/4/8 threads equals BruteForceEnumerator's stable
+//    models (Def. 9) as a set, in the same order at every thread count;
+//  * a cap returns exactly min(cap, n) models, a prefix of that order.
+class MaximalSearchOracleTest : public ::testing::TestWithParam<uint32_t> {
+};
+
+void ExpectMaximalSearchMatchesOracle(const GroundProgram& program,
+                                      ThreadPool& pool,
+                                      const std::string& label) {
+  for (ComponentId view = 0; view < program.NumComponents(); ++view) {
+    const auto af = StableModelSolver(program, view).AssumptionFreeModels();
+    ASSERT_TRUE(af.ok()) << label;
+    for (size_t i = 0; i < af->size(); ++i) {
+      for (size_t j = i + 1; j < af->size(); ++j) {
+        EXPECT_FALSE((*af)[i].IsProperSubsetOf((*af)[j]))
+            << label << ": " << (*af)[i].ToString(program)
+            << " is listed before its superset "
+            << (*af)[j].ToString(program);
+      }
+    }
+
+    const auto oracle = BruteForceEnumerator(program, view).StableModels();
+    ASSERT_TRUE(oracle.ok()) << label << ": " << oracle.status();
+    const auto sequential = StableModelSolver(program, view).StableModels();
+    ASSERT_TRUE(sequential.ok()) << label;
+    EXPECT_EQ(Render(program, *sequential), Render(program, *oracle))
+        << label << " view " << program.component_name(view);
+
+    for (const size_t threads : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
+      for (const size_t cap : {size_t{0}, size_t{1}, size_t{2}, size_t{5},
+                               StableSolverOptions{}.max_models}) {
+        StableSolverOptions options;
+        options.max_models = cap;
+        if (threads > 1) {
+          options.executor = &pool;
+          options.search_threads = threads;
+          options.parallel_min_branch = 0;
+        }
+        const auto models =
+            StableModelSolver(program, view, options).StableModels();
+        ASSERT_TRUE(models.ok()) << label;
+        EXPECT_EQ(InOrder(program, *models),
+                  InOrder(program, Prefix(*sequential, cap)))
+            << label << " view " << program.component_name(view)
+            << " threads " << threads << " max_models=" << cap;
+      }
+    }
+  }
+}
+
+TEST_P(MaximalSearchOracleTest, OrderedPrograms) {
+  std::mt19937 rng(GetParam());
+  RandomProgramOptions options;
+  options.num_atoms = 6;
+  options.num_components = 3;
+  options.num_rules = 14;
+  ThreadPool pool(4);
+  ExpectMaximalSearchMatchesOracle(RandomGroundProgram(rng, options), pool,
+                                   "ordered seed " +
+                                       std::to_string(GetParam()));
+}
+
+TEST_P(MaximalSearchOracleTest, SeminegativePrograms) {
+  std::mt19937 rng(GetParam());
+  ThreadPool pool(4);
+  ExpectMaximalSearchMatchesOracle(RandomSeminegativeProgram(rng, 6, 10, 2),
+                                   pool,
+                                   "seminegative seed " +
+                                       std::to_string(GetParam()));
+}
+
+TEST_P(MaximalSearchOracleTest, NegativePrograms) {
+  std::mt19937 rng(GetParam());
+  ThreadPool pool(4);
+  ExpectMaximalSearchMatchesOracle(RandomNegativeProgram(rng, 6, 10, 2), pool,
+                                   "negative seed " +
+                                       std::to_string(GetParam()));
+}
+
+INSTANTIATE_TEST_SUITE_P(RandomSeeds, MaximalSearchOracleTest,
+                         ::testing::Range(1u, 41u));
+
+// FilterMaximal visits candidates by size instead of comparing all pairs;
+// on shuffled random sets with equal duplicates it must keep exactly what
+// the all-pairs filter keeps, in the same order.
+TEST(ParallelSearchTest, FilterMaximalMatchesQuadraticReference) {
+  for (uint32_t seed = 1; seed <= 200; ++seed) {
+    std::mt19937 rng(seed);
+    RandomProgramOptions options;
+    options.num_atoms = 1 + seed % 5;
+    const GroundProgram program = RandomGroundProgram(rng, options);
+    std::vector<Interpretation> candidates;
+    const size_t count = seed % 40;
+    for (size_t i = 0; i < count; ++i) {
+      candidates.push_back(RandomInterpretation(rng, program));
+    }
+    for (size_t i = 0; i < count / 4; ++i) {
+      candidates.push_back(candidates[rng() % count]);  // equal duplicates
+    }
+    std::shuffle(candidates.begin(), candidates.end(), rng);
+    const std::vector<Interpretation> expected = QuadraticMaximal(candidates);
+    EXPECT_EQ(InOrder(program, FilterMaximal(candidates)),
+              InOrder(program, expected))
+        << "seed " << seed;
+  }
+}
 
 TEST(ParallelSearchTest, SearchThreadsOneStaysSequential) {
   ThreadPool pool(4);
